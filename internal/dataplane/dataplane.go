@@ -8,8 +8,9 @@
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -92,14 +93,19 @@ func (f *FIB) SetTag(p netaddr.Prefix, t encoding.Tag) {
 	f.charge(1)
 }
 
-// ReplaceTags swaps in a complete stage-1 assignment built from m,
-// charging one write per entry — the accounting a rebuild via SetTag
-// would produce. The map is only read during the call (it is not
-// retained), which keeps burst-end re-provisioning cheap for the
-// caller: the scheme's freshly compiled tag map is consumed in place.
-func (f *FIB) ReplaceTags(m map[netaddr.Prefix]encoding.Tag) {
-	f.stage1.Replace(m)
-	f.charge(len(m))
+// ReplaceTags swaps in a complete stage-1 assignment, charging one
+// write per entry — the accounting a rebuild via SetTag would produce.
+// tags must be in strictly ascending prefix order, as Scheme.Tags
+// returns them; a violation is reported and leaves the FIB unchanged.
+// The slice is only read during the call, and the table is bulk-built
+// into the previous assignment's node slab, so a burst-end re-provision
+// of a table that has not grown allocates nothing here.
+func (f *FIB) ReplaceTags(tags []TagEntry) error {
+	if err := f.stage1.Replace(tags); err != nil {
+		return err
+	}
+	f.charge(len(tags))
+	return nil
 }
 
 // RemoveTag deletes p's stage-1 rule.
@@ -116,22 +122,14 @@ func (f *FIB) TagOf(addr uint32) (encoding.Tag, bool) {
 
 // InstallRule adds a stage-2 rule. Rules with higher Priority win;
 // within a priority, earlier installation wins.
-func (f *FIB) InstallRule(r encoding.Rule) {
-	f.stage2 = append(f.stage2, r)
-	sort.SliceStable(f.stage2, func(i, j int) bool {
-		return f.stage2[i].Priority > f.stage2[j].Priority
-	})
-	f.charge(1)
-}
+func (f *FIB) InstallRule(r encoding.Rule) { f.InstallRules([]encoding.Rule{r}) }
 
-// InstallRules adds a batch of stage-2 rules.
+// InstallRules adds a batch of stage-2 rules in the order installing
+// them one by one would leave: one stable sort of the appended batch,
+// which moves nothing that is already in match order.
 func (f *FIB) InstallRules(rs []encoding.Rule) {
-	for _, r := range rs {
-		f.stage2 = append(f.stage2, r)
-	}
-	sort.SliceStable(f.stage2, func(i, j int) bool {
-		return f.stage2[i].Priority > f.stage2[j].Priority
-	})
+	f.stage2 = append(f.stage2, rs...)
+	slices.SortStableFunc(f.stage2, func(a, b encoding.Rule) int { return cmp.Compare(b.Priority, a.Priority) })
 	f.charge(len(rs))
 }
 

@@ -1,6 +1,9 @@
 package dataplane
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -142,5 +145,81 @@ func TestNumRules(t *testing.T) {
 	f.InstallRule(encoding.Rule{Priority: 2})
 	if f.NumRules() != 2 {
 		t.Errorf("rules = %d", f.NumRules())
+	}
+}
+
+// TestInstallOrderMatchesStableSort pins the stage-2 match order —
+// higher priority first, earlier installation first within a priority —
+// against the append-then-sort.SliceStable install it replaced, over
+// random interleavings of single installs, batches and fallback
+// removals at interleaved priorities. NextHop numbers the installs, so
+// equal-priority rules are distinguishable.
+func TestInstallOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	prios := []int{0, 9, 10, 3}
+	for trial := 0; trial < 50; trial++ {
+		f := New(Config{})
+		var want []encoding.Rule
+		resort := func() {
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
+		}
+		seq := uint32(0)
+		next := func() encoding.Rule {
+			seq++
+			return encoding.Rule{NextHop: seq, Priority: prios[rng.Intn(len(prios))]}
+		}
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				r := next()
+				f.InstallRule(r)
+				want = append(want, r)
+				resort()
+			case 2:
+				batch := make([]encoding.Rule, rng.Intn(6))
+				for i := range batch {
+					batch[i] = next()
+				}
+				f.InstallRules(batch)
+				want = append(want, batch...)
+				resort()
+			case 3:
+				prio := prios[rng.Intn(len(prios))]
+				f.RemoveRulesAt(prio)
+				want = slices.DeleteFunc(want, func(r encoding.Rule) bool { return r.Priority == prio })
+			}
+			if !slices.Equal(f.stage2, want) {
+				t.Fatalf("trial %d step %d: stage-2 order\n got %v\nwant %v", trial, step, f.stage2, want)
+			}
+		}
+	}
+}
+
+// TestReplaceTagsSteadyStateAllocs pins the slab reuse: once a FIB has
+// been provisioned, swapping in another assignment of the same size
+// builds into the previous table's node memory.
+func TestReplaceTagsSteadyStateAllocs(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(1))
+	set := map[netaddr.Prefix]encoding.Tag{}
+	for len(set) < n {
+		length := 16 + rng.Intn(9)
+		set[netaddr.MakePrefix(rng.Uint32()&netaddr.Mask(length), length)] = encoding.Tag(rng.Intn(1 << 20))
+	}
+	tags := sortedEntries(set)
+	f := New(Config{})
+	if err := f.ReplaceTags(tags); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := f.ReplaceTags(tags); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("steady-state ReplaceTags of %d entries: %.0f allocs, want <= 4", n, allocs)
+	}
+	if f.NumTags() != n {
+		t.Fatalf("NumTags = %d, want %d", f.NumTags(), n)
 	}
 }

@@ -9,12 +9,15 @@ import (
 
 // FuzzLPMOps drives the poptrie-fronted stage-1 LPM and the bare trie
 // through a fuzzer-chosen stream of interleaved InsertBatch /
-// DeleteBatch / Lookup operations, checking every observable against
-// the brute-force map reference: batch return counts, point lookups,
-// entry counts, and a final full-table sweep. Ops are decoded from
-// 6-byte records — [op][addr:4][len] — and mostly confined to a small
-// address pocket so covers, overwrites, collapses and re-announces
-// collide constantly.
+// DeleteBatch / Lookup / whole-table Replace operations, checking every
+// observable against the brute-force map reference: batch return
+// counts, point lookups, entry counts, and a final full-table sweep.
+// Ops are decoded from 6-byte records — [op][addr:4][len] — and mostly
+// confined to a small address pocket so covers, overwrites, collapses
+// and re-announces collide constantly. A lookup record with op bit 3
+// set (op 11) first swaps both structures for a sorted bulk build of
+// the reference's current contents, so later ops run on a recycled
+// node slab.
 func FuzzLPMOps(f *testing.F) {
 	for _, seed := range fuzzLPMSeeds() {
 		f.Add(seed)
@@ -38,25 +41,31 @@ func FuzzLPMOps(f *testing.F) {
 		}
 		flush := func() {
 			if len(ins) > 0 {
-				want := 0
+				got, want := 0, 0
 				for _, e := range ins {
+					if tr.Insert(e.Prefix, e.Tag) {
+						got++
+					}
 					if ref.Insert(e.Prefix, e.Tag) {
 						want++
 					}
 				}
-				if got, pgot := tr.InsertBatch(ins), pop.InsertBatch(ins); got != want || pgot != want {
+				if pgot := pop.InsertBatch(ins); got != want || pgot != want {
 					t.Fatalf("InsertBatch fresh trie=%d pop=%d want %d", got, pgot, want)
 				}
 				ins = ins[:0]
 			}
 			if len(dels) > 0 {
-				want := 0
+				got, want := 0, 0
 				for _, p := range dels {
+					if tr.Delete(p) {
+						got++
+					}
 					if ref.Delete(p) {
 						want++
 					}
 				}
-				if got, pgot := tr.DeleteBatch(dels), pop.DeleteBatch(dels); got != want || pgot != want {
+				if pgot := pop.DeleteBatch(dels); got != want || pgot != want {
 					t.Fatalf("DeleteBatch hit trie=%d pop=%d want %d", got, pgot, want)
 				}
 				dels = dels[:0]
@@ -84,6 +93,15 @@ func FuzzLPMOps(f *testing.F) {
 				dels = append(dels, pfx)
 			case 2:
 				flush()
+				if op&8 != 0 {
+					snap := sortedEntries(ref.m)
+					if err := pop.Replace(snap); err != nil {
+						t.Fatalf("poptrie Replace: %v", err)
+					}
+					if err := tr.Replace(snap); err != nil {
+						t.Fatalf("trie Replace: %v", err)
+					}
+				}
 				check(addr)
 			}
 		}
@@ -129,5 +147,9 @@ func fuzzLPMSeeds() [][]byte {
 		cat(rec(4, 0xffffffff, 32), rec(4, 0x00000001, 32), rec(6, 0xffffffff, 0), rec(6, 0x00000001, 0)),
 		// Batched mixed insert+delete flushed together.
 		cat(rec(0, a, 20), rec(0, a, 22), rec(1, a, 20), rec(0, a, 28), rec(2, a, 0)),
+		// Whole-table swaps (op 11) between churn: grow, shrink to
+		// empty, regrow — every build after the first recycles the slab.
+		cat(rec(0, a, 8), rec(0, a, 24), rec(0, a, 32), rec(11, a, 0), rec(0, a, 28), rec(1, a, 24),
+			rec(11, a, 0), rec(1, a, 8), rec(1, a, 32), rec(1, a, 28), rec(11, a, 0), rec(0, a, 16), rec(11, a, 0)),
 	}
 }

@@ -15,23 +15,19 @@ import (
 // bit string, so lookups touch at most one node per branching point
 // instead of one per bit, and an empty or sparse table costs nothing.
 //
-// It replaces the map[Prefix]Tag + 33-length probe scan the FIB used
-// before. The trade-off is explicit: the scan paid one map probe per
-// POPULATED prefix length, so on a table with only one or two lengths
-// (all-/32 host routes) a hit was 1-2 probes and the map stays faster
-// there; the trie wins where the scan degrades — misses (~4x faster:
-// it rejects at the first diverging node instead of probing every
-// length) and real Internet-shaped tables with many populated lengths
-// — and its O(32) worst case is independent of the length mix. It
-// also gives the FIB what a map cannot: ordered iteration (the
-// deterministic Dump the equivalence tests pin) and batched
-// insert/delete. BenchmarkLPM* in bench_test.go measures both
-// structures side by side.
+// Its O(32) worst case is independent of the prefix-length mix, and it
+// gives the FIB what a hash map cannot: ordered iteration (the
+// deterministic Dump the equivalence tests pin) and a whole-table bulk
+// build from a sorted assignment (Replace). BenchmarkLPM* in
+// bench_test.go measures it beside a map baseline.
 //
 // The zero value is an empty trie ready for use.
 type Trie struct {
 	root *trieNode
 	size int
+	// slab backs the nodes of the last Replace and is recycled by the
+	// next one.
+	slab []trieNode
 }
 
 // trieNode covers the prefix (key, bits). Children, when present,
@@ -54,11 +50,9 @@ func newTrieNode(addr uint32, bits uint8) *trieNode {
 	return &trieNode{key: addr & m, mask: m, bits: bits}
 }
 
-// TagEntry is one stage-1 rule, the unit of batched trie updates.
-type TagEntry struct {
-	Prefix netaddr.Prefix
-	Tag    encoding.Tag
-}
+// TagEntry is one stage-1 rule — the compiler's own type, so a
+// scheme's sorted assignment reaches the table without conversion.
+type TagEntry = encoding.TagAssignment
 
 // bitAt returns bit i of x counting from the most significant (bit 0).
 func bitAt(x uint32, i uint8) int { return int(x>>(31-i)) & 1 }
@@ -230,30 +224,6 @@ func (t *Trie) Get(p netaddr.Prefix) (encoding.Tag, bool) {
 	return 0, false
 }
 
-// InsertBatch applies a batch of tag writes and returns how many were
-// new (the FIB charges one rule write per entry either way).
-func (t *Trie) InsertBatch(entries []TagEntry) int {
-	fresh := 0
-	for _, e := range entries {
-		if t.Insert(e.Prefix, e.Tag) {
-			fresh++
-		}
-	}
-	return fresh
-}
-
-// DeleteBatch removes a batch of prefixes and returns how many were
-// present.
-func (t *Trie) DeleteBatch(ps []netaddr.Prefix) int {
-	hit := 0
-	for _, p := range ps {
-		if t.Delete(p) {
-			hit++
-		}
-	}
-	return hit
-}
-
 // ForEach visits every tagged prefix in ascending netaddr order
 // (address, then length — a node's covering prefix before the more
 // specific prefixes beneath it).
@@ -272,75 +242,56 @@ func (n *trieNode) walk(fn func(p netaddr.Prefix, tag encoding.Tag)) {
 	n.child[1].walk(fn)
 }
 
-// TrieFromMap builds a trie holding every entry of m.
-func TrieFromMap(m map[netaddr.Prefix]encoding.Tag) *Trie {
-	t := &Trie{}
-	for p, tag := range m {
-		t.Insert(p, tag)
-	}
-	return t
-}
-
-// TrieFromSorted builds a trie from entries in strictly ascending
-// prefix order — the order Export and ForEach emit — in one top-down
-// pass over the sorted slice, with every node allocated out of a single
-// slab. It produces the same canonical structure per-entry Insert
-// would (a node exists iff it is tagged or two tagged descendants
-// diverge below it) without any path splitting or re-walking, which is
-// what makes restoring a 100k-entry stage-1 table a few-millisecond
-// operation instead of the dominant cost of a warm restart. The slab
-// is reclaimed only when the whole trie is dropped; entries deleted
-// later free no memory on their own, which matches the restore-then-
-// mutate lifecycle this constructor serves.
-func TrieFromSorted(entries []TagEntry) (*Trie, error) {
+// Replace swaps the trie's contents for entries, which must be in
+// strictly ascending prefix order — the order encoding.Scheme.Tags,
+// Export and ForEach emit; anything else is rejected with the trie
+// left untouched. It is the single stage-1 build path (provision,
+// re-provision and restore): one top-down pass over the sorted slice
+// with every node taken from one slab, producing the same canonical
+// structure per-entry Insert would (a node exists iff it is tagged or
+// two tagged descendants diverge below it) with no path splitting or
+// re-walking.
+//
+// The slab is recycled: a Replace whose 2n-1 nodes fit the previous
+// slab's capacity overwrites it in place and allocates nothing, so no
+// node pointer or Trie value copied out before the call may be used
+// after it. Nodes added by later Inserts live on the heap and go with
+// the rest of the old structure; later Deletes free no slab memory.
+func (t *Trie) Replace(entries []TagEntry) error {
 	for i := 1; i < len(entries); i++ {
 		if entries[i].Prefix <= entries[i-1].Prefix {
-			return nil, fmt.Errorf("dataplane: entries not strictly ascending at %v", entries[i].Prefix)
+			return fmt.Errorf("dataplane: entries not strictly ascending at %v", entries[i].Prefix)
 		}
 	}
-	t := &Trie{size: len(entries)}
+	t.root, t.size = nil, len(entries)
 	if len(entries) == 0 {
-		return t, nil
+		return nil
 	}
-	b := &sortedBuilder{nodes: make([]trieNode, 2*len(entries)-1)}
-	t.root = b.build(entries)
-	return t, nil
+	if need := 2*len(entries) - 1; cap(t.slab) < need {
+		t.slab = make([]trieNode, 0, need)
+	}
+	t.slab = t.slab[:0]
+	t.root = t.build(entries)
+	return nil
 }
 
-// sortedBuilder allocates trie nodes sequentially from one slab.
-type sortedBuilder struct {
-	nodes []trieNode
-	used  int
-}
-
-func (b *sortedBuilder) alloc(addr uint32, bits uint8) *trieNode {
-	n := &b.nodes[b.used]
-	b.used++
-	n.mask = netaddr.Mask(int(bits))
-	n.key = addr & n.mask
-	n.bits = bits
-	return n
-}
-
-// build constructs the subtree covering the non-empty sorted slice s.
-// The subtree's root prefix is the longest common prefix of the whole
-// slice: the divergence point of the first and last addresses, clipped
-// to the first entry's length (ascending order puts the shortest prefix
-// of the smallest address first, so no other entry can be shorter —
-// see the strictly-ascending precondition).
-func (b *sortedBuilder) build(s []TagEntry) *trieNode {
+// build constructs the subtree covering the non-empty sorted slice s,
+// appending its nodes to the slab (never past the capacity Replace
+// reserved, so earlier nodes do not move). The subtree's root prefix
+// is the longest common prefix of the whole slice: the divergence point
+// of the first and last addresses, clipped to the first entry's length
+// (ascending order puts the shortest prefix of the smallest address
+// first, so no other entry can be shorter).
+func (t *Trie) build(s []TagEntry) *trieNode {
 	first := s[0]
 	faddr, flen := first.Prefix.Addr(), uint8(first.Prefix.Len())
-	if len(s) == 1 {
-		n := b.alloc(faddr, flen)
-		n.tagged, n.tag = true, first.Tag
-		return n
+	r := flen
+	if len(s) > 1 {
+		r = min(r, commonBits(faddr, s[len(s)-1].Prefix.Addr(), 32))
 	}
-	r := commonBits(faddr, s[len(s)-1].Prefix.Addr(), 32)
-	if flen < r {
-		r = flen
-	}
-	n := b.alloc(faddr, r)
+	m := netaddr.Mask(int(r))
+	t.slab = append(t.slab, trieNode{key: faddr & m, mask: m, bits: r})
+	n := &t.slab[len(t.slab)-1]
 	rest := s
 	if flen == r {
 		n.tagged, n.tag = true, first.Tag
@@ -354,10 +305,10 @@ func (b *sortedBuilder) build(s []TagEntry) *trieNode {
 	// When n is untagged, r is the exact first/last divergence, so both
 	// sides are non-empty and no pass-through chain is created.
 	if split > 0 {
-		n.child[0] = b.build(rest[:split])
+		n.child[0] = t.build(rest[:split])
 	}
 	if split < len(rest) {
-		n.child[1] = b.build(rest[split:])
+		n.child[1] = t.build(rest[split:])
 	}
 	return n
 }

@@ -52,6 +52,19 @@ func (r *mapLPM) Lookup(addr uint32) (encoding.Tag, bool) {
 	return 0, false
 }
 
+// sortedEntries returns m as the strictly ascending slice Replace and
+// ReplaceTags take.
+func sortedEntries(m map[netaddr.Prefix]encoding.Tag) []TagEntry {
+	entries := make([]TagEntry, 0, len(m))
+	for p, tag := range m {
+		entries = append(entries, TagEntry{Prefix: p, Tag: tag})
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Prefix < entries[j].Prefix })
+	return entries
+}
+
+func te(p netaddr.Prefix, tag encoding.Tag) TagEntry { return TagEntry{Prefix: p, Tag: tag} }
+
 func TestTrieBasics(t *testing.T) {
 	var tr Trie
 	p8 := netaddr.MustParsePrefix("10.0.0.0/8")
@@ -197,9 +210,12 @@ func TestTriePropertyVsReference(t *testing.T) {
 					for i := 0; i < 4; i++ {
 						dels = append(dels, universe[rng.Intn(len(universe))])
 					}
-					fresh, pfresh := tr.InsertBatch(entries), pop.InsertBatch(entries)
-					wfresh := 0
+					pfresh := pop.InsertBatch(entries)
+					fresh, wfresh := 0, 0
 					for _, e := range entries {
+						if tr.Insert(e.Prefix, e.Tag) {
+							fresh++
+						}
 						if ref.Insert(e.Prefix, e.Tag) {
 							wfresh++
 						}
@@ -207,9 +223,12 @@ func TestTriePropertyVsReference(t *testing.T) {
 					if fresh != wfresh || pfresh != wfresh {
 						t.Fatalf("step %d: InsertBatch fresh trie=%d pop=%d want %d", step, fresh, pfresh, wfresh)
 					}
-					hit, phit := tr.DeleteBatch(dels), pop.DeleteBatch(dels)
-					whit := 0
+					phit := pop.DeleteBatch(dels)
+					hit, whit := 0, 0
 					for _, q := range dels {
+						if tr.Delete(q) {
+							hit++
+						}
 						if ref.Delete(q) {
 							whit++
 						}
@@ -218,11 +237,13 @@ func TestTriePropertyVsReference(t *testing.T) {
 						t.Fatalf("step %d: DeleteBatch hit trie=%d pop=%d want %d", step, hit, phit, whit)
 					}
 				case 11: // whole-table swap: the burst-end ReplaceTags path
-					snap := make(map[netaddr.Prefix]encoding.Tag, len(ref.m))
-					for q, tag := range ref.m {
-						snap[q] = tag
+					snap := sortedEntries(ref.m)
+					if err := pop.Replace(snap); err != nil {
+						t.Fatalf("step %d: poptrie Replace: %v", step, err)
 					}
-					pop.Replace(snap)
+					if err := tr.Replace(snap); err != nil {
+						t.Fatalf("step %d: trie Replace: %v", step, err)
+					}
 				}
 				if tr.Len() != len(ref.m) || pop.Len() != len(ref.m) {
 					t.Fatalf("step %d: Len trie=%d pop=%d, reference %d", step, tr.Len(), pop.Len(), len(ref.m))
@@ -256,8 +277,8 @@ func TestTriePropertyVsReference(t *testing.T) {
 	}
 }
 
-func TestTrieBatchOps(t *testing.T) {
-	var tr Trie
+func TestPoptrieBatchOps(t *testing.T) {
+	var tr Poptrie
 	entries := []TagEntry{
 		{Prefix: netaddr.MustParsePrefix("10.0.0.0/8"), Tag: 1},
 		{Prefix: netaddr.MustParsePrefix("10.1.0.0/16"), Tag: 2},
@@ -280,102 +301,156 @@ func TestTrieBatchOps(t *testing.T) {
 	}
 }
 
-// TestTrieFromSorted drives the bulk restore constructor against
-// per-entry Insert over randomized prefix sets: identical structure
-// observables (Len, ForEach order, random lookups), identical behavior
-// under further mutation, and rejection of unsorted input. The poptrie
-// RestoreSorted wrapper is exercised the same way, including the lazy
-// read-path rebuild after the bulk swap.
-func TestTrieFromSorted(t *testing.T) {
+// TestReplaceEquivalentToInsert pins the single stage-1 build path
+// against per-entry Insert across consecutive Replace cycles of equal,
+// growing and shrinking size on ONE long-lived table — the case where
+// the recycled node slab could alias stale children. After every swap,
+// and again after random Insert/Delete/InsertBatch mutations on top of
+// it, the slab-built structures (bare Trie, Poptrie read path, FIB)
+// must agree with freshly insert-built ones on every observable: Len,
+// ForEach order, Get, Lookup, lookupMax and Dump.
+func TestReplaceEquivalentToInsert(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		set := map[netaddr.Prefix]encoding.Tag{}
-		n := 1 + rng.Intn(600)
-		for i := 0; i < n; i++ {
+		randPrefix := func() netaddr.Prefix {
 			length := 4 + rng.Intn(29) // 4..32
 			addr := uint32(rng.Intn(1<<20)) << 12
-			p := netaddr.MakePrefix(addr&netaddr.Mask(length), length)
-			set[p] = encoding.Tag(1 + rng.Intn(1<<16))
+			return netaddr.MakePrefix(addr&netaddr.Mask(length), length)
 		}
-		entries := make([]TagEntry, 0, len(set))
-		var ref Trie
-		for p, tag := range set {
-			entries = append(entries, TagEntry{Prefix: p, Tag: tag})
-			ref.Insert(p, tag)
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Prefix < entries[j].Prefix })
+		randTag := func() encoding.Tag { return encoding.Tag(1 + rng.Intn(1<<16)) }
 
-		bulk, err := TrieFromSorted(entries)
-		if err != nil {
-			t.Fatalf("seed %d: TrieFromSorted: %v", seed, err)
-		}
-		if bulk.Len() != ref.Len() {
-			t.Fatalf("seed %d: Len %d, want %d", seed, bulk.Len(), ref.Len())
-		}
-		var got, want []TagEntry
-		bulk.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { got = append(got, TagEntry{p, tag}) })
-		ref.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { want = append(want, TagEntry{p, tag}) })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: ForEach[%d] = %+v, want %+v", seed, i, got[i], want[i])
+		bulk := &Trie{} // slab-built, recycled every cycle
+		fib := New(Config{})
+		var ref *Trie // insert-built, fresh every cycle
+		var refFIB *FIB
+		compare := func(when string) {
+			t.Helper()
+			if bulk.Len() != ref.Len() || fib.NumTags() != ref.Len() {
+				t.Fatalf("seed %d %s: Len bulk=%d fib=%d want %d", seed, when, bulk.Len(), fib.NumTags(), ref.Len())
 			}
-		}
-
-		var pop Poptrie
-		if err := pop.RestoreSorted(entries); err != nil {
-			t.Fatalf("seed %d: RestoreSorted: %v", seed, err)
-		}
-		for i := 0; i < 2000; i++ {
-			addr := uint32(rng.Intn(1 << 28))
-			bt, bok := bulk.Lookup(addr)
-			rt, rok := ref.Lookup(addr)
-			pt, pok := pop.Lookup(addr)
-			if bt != rt || bok != rok || pt != rt || pok != rok {
-				t.Fatalf("seed %d: Lookup(%08x) bulk=%v,%v pop=%v,%v want %v,%v",
-					seed, addr, bt, bok, pt, pok, rt, rok)
-			}
-		}
-
-		// Mutations after a bulk build behave exactly like on the
-		// incrementally built structures.
-		for i := 0; i < 200; i++ {
-			e := entries[rng.Intn(len(entries))]
-			switch rng.Intn(3) {
-			case 0:
-				nt := encoding.Tag(1 + rng.Intn(1<<16))
-				bulk.Insert(e.Prefix, nt)
-				ref.Insert(e.Prefix, nt)
-				pop.Insert(e.Prefix, nt)
-			case 1:
-				bulk.Delete(e.Prefix)
-				ref.Delete(e.Prefix)
-				pop.Delete(e.Prefix)
-			case 2:
-				addr := e.Prefix.Addr() | uint32(rng.Intn(1<<12))
-				bt, bok := bulk.Lookup(addr)
-				rt, rok := ref.Lookup(addr)
-				pt, pok := pop.Lookup(addr)
-				if bt != rt || bok != rok || pt != rt || pok != rok {
-					t.Fatalf("seed %d: post-mutation Lookup(%08x) bulk=%v,%v pop=%v,%v want %v,%v",
-						seed, addr, bt, bok, pt, pok, rt, rok)
+			var got, pgot, want []TagEntry
+			bulk.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { got = append(got, te(p, tag)) })
+			fib.stage1.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { pgot = append(pgot, te(p, tag)) })
+			ref.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { want = append(want, te(p, tag)) })
+			for i := range want {
+				if got[i] != want[i] || pgot[i] != want[i] {
+					t.Fatalf("seed %d %s: ForEach[%d] bulk=%+v fib=%+v want %+v", seed, when, i, got[i], pgot[i], want[i])
+				}
+				bt, bok := bulk.Get(want[i].Prefix)
+				pt, pok := fib.stage1.Get(want[i].Prefix)
+				if !bok || !pok || bt != want[i].Tag || pt != want[i].Tag {
+					t.Fatalf("seed %d %s: Get(%v) bulk=%v,%v fib=%v,%v want %v", seed, when, want[i].Prefix, bt, bok, pt, pok, want[i].Tag)
 				}
 			}
+			for i := 0; i < 1000; i++ {
+				addr := uint32(rng.Intn(1 << 28))
+				if len(want) > 0 && i%2 == 0 {
+					addr = want[rng.Intn(len(want))].Prefix.Addr() | uint32(rng.Intn(1<<12))
+				}
+				rt, rok := ref.Lookup(addr)
+				bt, bok := bulk.Lookup(addr)
+				pt, pok := fib.TagOf(addr)
+				if bt != rt || bok != rok || pt != rt || pok != rok {
+					t.Fatalf("seed %d %s: Lookup(%08x) bulk=%v,%v fib=%v,%v want %v,%v", seed, when, addr, bt, bok, pt, pok, rt, rok)
+				}
+				maxBits := uint8(rng.Intn(33))
+				rt, rl := ref.lookupMax(addr, maxBits)
+				bt, bl := bulk.lookupMax(addr, maxBits)
+				pt, pl := fib.stage1.Trie().lookupMax(addr, maxBits)
+				if bt != rt || bl != rl || pt != rt || pl != rl {
+					t.Fatalf("seed %d %s: lookupMax(%08x,%d) bulk=%v,%d fib=%v,%d want %v,%d", seed, when, addr, maxBits, bt, bl, pt, pl, rt, rl)
+				}
+			}
+			if fib.Dump() != refFIB.Dump() {
+				t.Fatalf("seed %d %s: Dump differs from the insert-built FIB", seed, when)
+			}
+		}
+
+		for cycle, n := range []int{300, 300, 700, 40, 40, 1, 500, 0, 200} {
+			set := map[netaddr.Prefix]encoding.Tag{}
+			for len(set) < n {
+				set[randPrefix()] = randTag()
+			}
+			entries := sortedEntries(set)
+			when := fmt.Sprintf("cycle %d (n=%d)", cycle, n)
+			if err := bulk.Replace(entries); err != nil {
+				t.Fatalf("seed %d %s: Trie.Replace: %v", seed, when, err)
+			}
+			if err := fib.ReplaceTags(entries); err != nil {
+				t.Fatalf("seed %d %s: ReplaceTags: %v", seed, when, err)
+			}
+			ref, refFIB = &Trie{}, New(Config{})
+			for p, tag := range set {
+				ref.Insert(p, tag)
+				refFIB.SetTag(p, tag)
+			}
+			if cycle%2 == 1 {
+				// Leave the read path stale on odd cycles: mutations
+				// below then land on a dirty poptrie.
+				compare(when)
+			}
+
+			// Mutations on top of a slab-built table: heap nodes link
+			// into (and out of) slab nodes, deleted slab nodes collapse.
+			for i := 0; i < 300; i++ {
+				p := randPrefix()
+				if len(entries) > 0 && rng.Intn(3) > 0 {
+					p = entries[rng.Intn(len(entries))].Prefix
+				}
+				switch rng.Intn(3) {
+				case 0:
+					tag := randTag()
+					bulk.Insert(p, tag)
+					ref.Insert(p, tag)
+					fib.SetTag(p, tag)
+					refFIB.SetTag(p, tag)
+				case 1:
+					bulk.Delete(p)
+					ref.Delete(p)
+					fib.RemoveTag(p)
+					refFIB.RemoveTag(p)
+				case 2:
+					batch := []TagEntry{te(p, randTag()), te(randPrefix(), randTag()), te(randPrefix(), randTag())}
+					for _, e := range batch {
+						bulk.Insert(e.Prefix, e.Tag)
+						ref.Insert(e.Prefix, e.Tag)
+					}
+					fib.stage1.InsertBatch(batch)
+					refFIB.stage1.InsertBatch(batch)
+				}
+			}
+			compare(when + " after mutation")
 		}
 	}
+}
 
-	if _, err := TrieFromSorted([]TagEntry{
-		{Prefix: netaddr.MustParsePrefix("10.1.0.0/16"), Tag: 1},
-		{Prefix: netaddr.MustParsePrefix("10.0.0.0/8"), Tag: 2},
-	}); err == nil {
+// TestReplaceRejectsUnsorted pins the strictly-ascending precondition:
+// unsorted or duplicate input is an error and leaves the table as it
+// was.
+func TestReplaceRejectsUnsorted(t *testing.T) {
+	p8, p16 := netaddr.MustParsePrefix("10.0.0.0/8"), netaddr.MustParsePrefix("10.1.0.0/16")
+	var tr Trie
+	if err := tr.Replace([]TagEntry{te(p16, 1), te(p8, 2)}); err == nil {
 		t.Fatal("unsorted input accepted")
 	}
-	if _, err := TrieFromSorted([]TagEntry{
-		{Prefix: netaddr.MustParsePrefix("10.0.0.0/8"), Tag: 1},
-		{Prefix: netaddr.MustParsePrefix("10.0.0.0/8"), Tag: 2},
-	}); err == nil {
+	if err := tr.Replace([]TagEntry{te(p8, 1), te(p8, 2)}); err == nil {
 		t.Fatal("duplicate input accepted")
 	}
-	if tr, err := TrieFromSorted(nil); err != nil || tr.Len() != 0 {
+	if err := tr.Replace(nil); err != nil || tr.Len() != 0 {
 		t.Fatalf("empty input: %v, len %d", err, tr.Len())
+	}
+	f := New(Config{})
+	if err := f.ReplaceTags([]TagEntry{te(p8, 1), te(p16, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	before, writes := f.Dump(), f.Writes()
+	if err := f.ReplaceTags([]TagEntry{te(p16, 3), te(p8, 4)}); err == nil {
+		t.Fatal("ReplaceTags accepted unsorted input")
+	}
+	if f.Dump() != before || f.Writes() != writes {
+		t.Fatal("rejected ReplaceTags changed the FIB")
+	}
+	if got, ok := f.TagOf(0x0a010203); !ok || got != 2 {
+		t.Fatalf("after rejected swap: TagOf = %v,%v want 2", got, ok)
 	}
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"math/bits"
+	"slices"
 
 	"swift/internal/encoding"
 	"swift/internal/netaddr"
@@ -89,7 +90,8 @@ func (p *Poptrie) Get(pfx netaddr.Prefix) (encoding.Tag, bool) { return p.trie.G
 // trie's deterministic iteration, unchanged by the read structure.
 func (p *Poptrie) ForEach(fn func(pfx netaddr.Prefix, tag encoding.Tag)) { p.trie.ForEach(fn) }
 
-// Trie exposes the authoritative ordered store (read-only use).
+// Trie exposes the authoritative ordered store (read-only use). The
+// next Replace recycles its node memory: do not keep a copy across one.
 func (p *Poptrie) Trie() *Trie { return &p.trie }
 
 // Insert sets pfx's tag, returning true when pfx was not present
@@ -98,7 +100,7 @@ func (p *Poptrie) Insert(pfx netaddr.Prefix, tag encoding.Tag) bool {
 	fresh := p.trie.Insert(pfx, tag)
 	if !p.dirty {
 		p.ensure()
-		p.insertRead(pfx.Addr(), pfx.Len(), tag)
+		p.insertRead(pfx.Addr(), pfx.Len(), tag, true)
 	}
 	return fresh
 }
@@ -138,25 +140,16 @@ func (p *Poptrie) DeleteBatch(ps []netaddr.Prefix) int {
 	return hit
 }
 
-// Replace swaps in a complete table built from m. The read path is only
-// marked stale: the next lookup rebuilds it in one pass over the trie.
-func (p *Poptrie) Replace(m map[netaddr.Prefix]encoding.Tag) {
-	p.trie = *TrieFromMap(m)
-	p.dirty = true
-}
-
-// RestoreSorted swaps in a table bulk-built from entries in ascending
-// prefix order, deferring the read path exactly like Replace: the next
-// lookup rebuilds it in one ordered pass. This is the warm-restart
-// entry point — a restored FIB serves Get/ForEach/Dump immediately and
-// pays for the read structure only if it is actually looked up.
-func (p *Poptrie) RestoreSorted(entries []TagEntry) error {
-	t, err := TrieFromSorted(entries)
-	if err != nil {
+// Replace swaps in a complete table bulk-built from entries, which
+// must be in strictly ascending prefix order (see Trie.Replace; on
+// error nothing changes). It serves provision, re-provision and warm
+// restart alike. The read path is only marked stale: the table serves
+// Get/ForEach/Dump immediately and the next lookup rebuilds the read
+// structure in one ordered pass.
+func (p *Poptrie) Replace(entries []TagEntry) error {
+	if err := p.trie.Replace(entries); err != nil {
 		return err
 	}
-	p.trie = *t
-	p.rootLeaf, p.rootNode = nil, nil
 	p.dirty = true
 	return nil
 }
@@ -238,19 +231,27 @@ func (p *Poptrie) ensure() {
 	}
 }
 
-// rebuild reconstructs the read path from the trie in one ordered pass.
+// rebuild reconstructs the read path from the trie in one ordered
+// pass: locals are collected unpainted and every node is painted once
+// at the end, instead of once per prefix landing in it.
 func (p *Poptrie) rebuild() {
 	p.dirty = false
 	p.ensure()
 	clear(p.rootLeaf)
 	clear(p.rootNode)
 	p.trie.ForEach(func(pfx netaddr.Prefix, tag encoding.Tag) {
-		p.insertRead(pfx.Addr(), pfx.Len(), tag)
+		p.insertRead(pfx.Addr(), pfx.Len(), tag, false)
 	})
+	for _, n := range p.rootNode {
+		if n != nil {
+			n.repaintAll()
+		}
+	}
 }
 
-// insertRead mirrors one insert into the read structures.
-func (p *Poptrie) insertRead(addr uint32, plen int, tag encoding.Tag) {
+// insertRead mirrors one insert into the read structures. paint is
+// false only inside rebuild, which paints every node itself.
+func (p *Poptrie) insertRead(addr uint32, plen int, tag encoding.Tag, paint bool) {
 	if plen <= 16 {
 		p.insertShort(addr, plen, tag)
 		return
@@ -274,7 +275,9 @@ func (p *Poptrie) insertRead(addr uint32, plen int, tag encoding.Tag) {
 	// addr is masked to plen, so the top 6 remaining bits already have
 	// zeros below the rem significant ones.
 	n.setLocal(uint8(key>>26), uint8(plen-d), tag)
-	n.repaint()
+	if paint {
+		n.repaint()
+	}
 }
 
 // insertShort expands a <=16-bit prefix over its root slots, longest
@@ -400,21 +403,29 @@ func (n *popNode) removeLocal(pat, rem uint8) {
 func (n *popNode) repaint() {
 	var tag [64]encoding.Tag
 	var ln [64]uint8 // 0 = unpainted, else rem
+	n.leafBits = 0
 	for _, e := range n.local {
 		lo := uint(e.pat)
 		hi := lo + 1<<(6-e.rem)
 		for s := lo; s < hi; s++ {
 			if e.rem > ln[s] {
 				ln[s], tag[s] = e.rem, e.tag
+				n.leafBits |= uint64(1) << s
 			}
 		}
 	}
-	n.leafBits = 0
-	n.leaves = n.leaves[:0]
+	n.leaves = slices.Grow(n.leaves[:0], bits.OnesCount64(n.leafBits))
 	for s := 0; s < 64; s++ {
 		if ln[s] != 0 {
-			n.leafBits |= uint64(1) << uint(s)
 			n.leaves = append(n.leaves, tag[s])
 		}
+	}
+}
+
+// repaintAll paints n and every node below it.
+func (n *popNode) repaintAll() {
+	n.repaint()
+	for _, c := range n.children {
+		c.repaintAll()
 	}
 }

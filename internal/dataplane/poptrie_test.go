@@ -77,10 +77,12 @@ func TestPoptrieBasics(t *testing.T) {
 func TestPoptrieReplaceLazyRebuild(t *testing.T) {
 	var pt Poptrie
 	pt.Insert(netaddr.MustParsePrefix("10.0.0.0/8"), 1)
-	pt.Replace(map[netaddr.Prefix]encoding.Tag{
-		netaddr.MustParsePrefix("10.1.0.0/16"): 5,
-		netaddr.MustParsePrefix("10.1.2.0/24"): 6,
-	})
+	if err := pt.Replace([]TagEntry{
+		{Prefix: netaddr.MustParsePrefix("10.1.0.0/16"), Tag: 5},
+		{Prefix: netaddr.MustParsePrefix("10.1.2.0/24"), Tag: 6},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// Mutate before the first post-swap read: must not be lost.
 	pt.Insert(netaddr.MustParsePrefix("10.1.2.3/32"), 7)
 	pt.Delete(netaddr.MustParsePrefix("10.1.2.0/24"))
@@ -148,7 +150,9 @@ func TestFIBDumpUnchangedByReadPath(t *testing.T) {
 			m[netaddr.MakePrefix(addr, length)] = encoding.Tag(rng.Intn(64))
 		}
 		if viaReplace {
-			f.ReplaceTags(m)
+			if err := f.ReplaceTags(sortedEntries(m)); err != nil {
+				t.Fatal(err)
+			}
 		} else {
 			for p, tag := range m {
 				f.SetTag(p, tag)

@@ -47,7 +47,7 @@ func Restore(cfg Config, img FIBImage) (*FIB, error) {
 		}
 	}
 	f := New(cfg)
-	if err := f.stage1.RestoreSorted(img.Tags); err != nil {
+	if err := f.stage1.Replace(img.Tags); err != nil {
 		return nil, err
 	}
 	f.stage2 = append([]encoding.Rule(nil), img.Rules...)

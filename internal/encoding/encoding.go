@@ -74,6 +74,14 @@ type Rule struct {
 // Matches reports whether t satisfies r.
 func (r Rule) Matches(t Tag) bool { return t&r.Mask == r.Value }
 
+// TagAssignment is one prefix's compiled tag — one stage-1 rule. A
+// slice of them in strictly ascending prefix order is the one form a
+// stage-1 assignment takes from Build through the FIB to a snapshot.
+type TagAssignment struct {
+	Prefix netaddr.Prefix
+	Tag    Tag
+}
+
 // group describes one bit field inside the tag.
 type group struct {
 	shift uint // bits to the right of the field
@@ -108,8 +116,8 @@ type Scheme struct {
 	// primary and backups[d] (depth d+1) are next-hop fields.
 	primary group
 	backups []group
-	// tags holds the per-prefix tag assignment.
-	tags map[netaddr.Prefix]Tag
+	// tags holds the per-prefix tag assignment, ascending by prefix.
+	tags []TagAssignment
 	// localAS identifies the router, needed to recognize local links.
 	localAS uint32
 }
@@ -138,7 +146,7 @@ func Build(cfg Config, table *rib.Table, plan *reroute.Plan) (*Scheme, error) {
 		localAS: table.LocalAS(),
 		nhIDs:   make(map[uint32]uint64),
 		nhASes:  make(map[uint64]uint32),
-		tags:    make(map[netaddr.Prefix]Tag, table.Len()),
+		tags:    make([]TagAssignment, 0, table.Len()),
 		linkIDs: make([]map[topology.Link]uint64, cfg.MaxDepth-1),
 	}
 	for i := range s.linkIDs {
@@ -295,7 +303,9 @@ func (s *Scheme) layout() {
 // assignTags computes every prefix's tag. The path part — link groups
 // and primary next-hop — is identical for every prefix sharing a path,
 // so it is assembled once per unique path; only the per-depth backup
-// groups vary per prefix (the reroute plan is per-prefix).
+// groups vary per prefix (the reroute plan is per-prefix). The RIB
+// yields prefixes grouped by path; one sort at the end puts the
+// assignment in the canonical ascending order.
 func (s *Scheme) assignTags(table *rib.Table, plan *reroute.Plan) {
 	var buf []topology.Link
 	local := table.LocalAS()
@@ -328,20 +338,60 @@ func (s *Scheme) assignTags(table *rib.Table, plan *reroute.Plan) {
 					}
 				}
 			}
-			s.tags[p] = t
+			s.tags = append(s.tags, TagAssignment{Prefix: p, Tag: t})
 		}
 	})
+	sortTags(s.tags)
+}
+
+// sortTags orders ts ascending by prefix with an LSD radix sort over
+// 11-bit digits, skipping digits every key shares (the bits above the
+// 40-bit prefix layout). It sits on the burst-end fallback path, where
+// a comparison sort of a 20k-prefix table would cost more than the
+// rest of the compile.
+func sortTags(ts []TagAssignment) {
+	if len(ts) < 2 {
+		return
+	}
+	const mask = 1<<11 - 1
+	src, dst := ts, make([]TagAssignment, len(ts))
+	for shift := 0; shift < 64; shift += 11 {
+		var next [mask + 1]int
+		for i := range src {
+			next[src[i].Prefix>>shift&mask]++
+		}
+		if next[src[0].Prefix>>shift&mask] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, c := range next {
+			next[d], sum = sum, sum+c
+		}
+		for _, e := range src {
+			d := e.Prefix >> shift & mask
+			dst[next[d]] = e
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ts[0] {
+		copy(ts, src)
+	}
 }
 
 // TagFor returns the tag assigned to p.
 func (s *Scheme) TagFor(p netaddr.Prefix) (Tag, bool) {
-	t, ok := s.tags[p]
-	return t, ok
+	i := sort.Search(len(s.tags), func(i int) bool { return s.tags[i].Prefix >= p })
+	if i == len(s.tags) || s.tags[i].Prefix != p {
+		return 0, false
+	}
+	return s.tags[i].Tag, true
 }
 
 // Tags returns the full prefix→tag assignment (the rules for the first
-// forwarding-table stage). The map is owned by the scheme.
-func (s *Scheme) Tags() map[netaddr.Prefix]Tag { return s.tags }
+// forwarding-table stage) in strictly ascending prefix order. The
+// slice is owned by the scheme and must not be modified.
+func (s *Scheme) Tags() []TagAssignment { return s.tags }
 
 // NextHopID returns the dictionary value of a next-hop AS.
 func (s *Scheme) NextHopID(as uint32) (uint64, bool) {
@@ -448,7 +498,7 @@ func (s *Scheme) Reroutable(p netaddr.Prefix, links []topology.Link, table *rib.
 	}
 	var buf [16]topology.Link
 	pls := rib.PathLinks(buf[:0], table.LocalAS(), path)
-	t := s.tags[p]
+	t, _ := s.TagFor(p)
 	for d := 1; d <= len(pls) && d <= len(s.backups); d++ {
 		hit := false
 		for _, l := range links {

@@ -2,6 +2,8 @@ package encoding
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"swift/internal/netaddr"
@@ -128,9 +130,119 @@ func TestTagStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, ta := range a.Tags() {
-		if tb, ok := b.TagFor(p); !ok || tb != ta {
-			t.Fatalf("tag for %v differs across rebuilds: %b vs %b", p, ta, tb)
+	for _, ta := range a.Tags() {
+		if tb, ok := b.TagFor(ta.Prefix); !ok || tb != ta.Tag {
+			t.Fatalf("tag for %v differs across rebuilds: %b vs %b", ta.Prefix, ta.Tag, tb)
+		}
+	}
+}
+
+// TestTagsSortedCanonical pins the sorted-slice form of a stage-1
+// assignment over randomized RIBs (prefixes announced in shuffled
+// order, so the RIB's per-path grouping never coincides with prefix
+// order): Tags() is strictly ascending and covers the table, TagFor
+// agrees with a reference map built from it and misses what is absent,
+// and Export → RestoreScheme → Export reproduces the image exactly,
+// with unsorted or duplicate tags refused.
+func TestTagsSortedCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 12; trial++ {
+		table, alt := rib.New(1), rib.New(1)
+		var all []netaddr.Prefix
+		paths := map[uint32][]uint32{}
+		for g := uint32(0); g < 6; g++ {
+			origin := 100 + g
+			paths[origin] = []uint32{2 + g%2, 50 + uint32(rng.Intn(3)), origin}
+			for i, n := 0, 50+rng.Intn(250); i < n; i++ {
+				all = append(all, netaddr.PrefixFor(origin, i))
+			}
+		}
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		for _, p := range all {
+			origin, _, _ := netaddr.PrefixOrigin(p)
+			table.Announce(p, paths[origin])
+			alt.Announce(p, []uint32{99, origin})
+		}
+		plan := reroute.Compute(1, table, map[uint32]*rib.Table{99: alt}, nil, 5)
+		cfg := Default()
+		cfg.MinPrefixes = 40
+		s, err := Build(cfg, table, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		tags := s.Tags()
+		if len(tags) != table.Len() {
+			t.Fatalf("trial %d: %d tags for %d routes", trial, len(tags), table.Len())
+		}
+		ref := make(map[netaddr.Prefix]Tag, len(tags))
+		for i, ta := range tags {
+			if i > 0 && ta.Prefix <= tags[i-1].Prefix {
+				t.Fatalf("trial %d: Tags() not strictly ascending at %d: %v after %v", trial, i, ta.Prefix, tags[i-1].Prefix)
+			}
+			ref[ta.Prefix] = ta.Tag
+		}
+		for _, p := range all {
+			if got, ok := s.TagFor(p); !ok || got != ref[p] {
+				t.Fatalf("trial %d: TagFor(%v) = %b,%v want %b", trial, p, got, ok, ref[p])
+			}
+		}
+		for i := 0; i < 200; i++ {
+			p := netaddr.PrefixFor(uint32(90+rng.Intn(30)), rng.Intn(400))
+			_, want := ref[p]
+			if _, ok := s.TagFor(p); ok != want {
+				t.Fatalf("trial %d: TagFor(%v) present=%v, want %v", trial, p, ok, want)
+			}
+		}
+
+		img := s.Export()
+		restored, err := RestoreScheme(img)
+		if err != nil {
+			t.Fatalf("trial %d: RestoreScheme: %v", trial, err)
+		}
+		if again := restored.Export(); !reflect.DeepEqual(img, again) {
+			t.Fatalf("trial %d: Export -> RestoreScheme -> Export changed the image", trial)
+		}
+		if got, ok := restored.TagFor(all[0]); !ok || got != ref[all[0]] {
+			t.Fatalf("trial %d: restored TagFor(%v) = %b,%v want %b", trial, all[0], got, ok, ref[all[0]])
+		}
+		for _, breakAt := range [][2]int{{0, 1}, {len(tags) - 1, len(tags) - 2}} {
+			bad := img
+			bad.Tags = append([]TagAssignment(nil), img.Tags...)
+			bad.Tags[breakAt[0]] = bad.Tags[breakAt[1]]
+			if _, err := RestoreScheme(bad); err == nil {
+				t.Fatalf("trial %d: RestoreScheme accepted non-ascending tags", trial)
+			}
+		}
+	}
+}
+
+// TestSortTagsMatchesComparisonSort pins the radix sort against the
+// standard library over key widths that exercise every pass parity
+// (one varying digit needs the copy-back, two do not, ...) up to full
+// 64-bit keys no well-formed prefix produces. Tags record the input
+// position, so a stable-order or payload mix-up shows.
+func TestSortTagsMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, width := range []uint{1, 11, 12, 22, 33, 40, 44, 55, 64} {
+		for _, n := range []int{0, 1, 2, 3, 100, 5000} {
+			ts := make([]TagAssignment, n)
+			for i := range ts {
+				ts[i] = TagAssignment{Prefix: netaddr.Prefix(rng.Uint64() >> (64 - width)), Tag: Tag(i)}
+			}
+			want := slices.Clone(ts)
+			slices.SortStableFunc(want, func(a, b TagAssignment) int {
+				if a.Prefix < b.Prefix {
+					return -1
+				} else if a.Prefix > b.Prefix {
+					return 1
+				}
+				return 0
+			})
+			sortTags(ts)
+			if !slices.Equal(ts, want) {
+				t.Fatalf("width %d n %d: sortTags differs from the stable comparison sort", width, n)
+			}
 		}
 	}
 }

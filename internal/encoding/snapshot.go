@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"swift/internal/netaddr"
 	"swift/internal/topology"
 )
 
@@ -26,12 +25,6 @@ type NHValue struct {
 	Value uint64
 }
 
-// TagAssignment is one prefix's compiled tag.
-type TagAssignment struct {
-	Prefix netaddr.Prefix
-	Tag    Tag
-}
-
 // SchemeImage is a compiled scheme in canonical order: per-depth link
 // dictionaries ascending by value, next-hops ascending by value, tags
 // ascending by prefix.
@@ -43,14 +36,15 @@ type SchemeImage struct {
 	Tags      []TagAssignment
 }
 
-// Export captures the scheme.
+// Export captures the scheme. Tags is the scheme's own slice, not a
+// copy: a compiled scheme is immutable, so the image may share it.
 func (s *Scheme) Export() SchemeImage {
 	img := SchemeImage{
 		Cfg:       s.cfg,
 		LocalAS:   s.localAS,
 		LinkDicts: make([][]LinkValue, len(s.linkIDs)),
 		NHs:       make([]NHValue, 0, len(s.nhIDs)),
-		Tags:      make([]TagAssignment, 0, len(s.tags)),
+		Tags:      s.tags,
 	}
 	for i, dict := range s.linkIDs {
 		d := make([]LinkValue, 0, len(dict))
@@ -64,15 +58,12 @@ func (s *Scheme) Export() SchemeImage {
 		img.NHs = append(img.NHs, NHValue{AS: as, Value: v})
 	}
 	sort.Slice(img.NHs, func(a, b int) bool { return img.NHs[a].Value < img.NHs[b].Value })
-	for p, t := range s.tags {
-		img.Tags = append(img.Tags, TagAssignment{Prefix: p, Tag: t})
-	}
-	sort.Slice(img.Tags, func(a, b int) bool { return img.Tags[a].Prefix < img.Tags[b].Prefix })
 	return img
 }
 
-// RestoreScheme compiles a scheme from an image: dictionaries and tags
-// load verbatim, the field layout is recomputed from the dictionary
+// RestoreScheme compiles a scheme from an image: dictionaries load
+// verbatim, the tag slice is adopted as is (the scheme takes ownership
+// of img.Tags), the field layout is recomputed from the dictionary
 // sizes — the same pure function Build uses, so a restored scheme emits
 // bit-identical rules and tags.
 func RestoreScheme(img SchemeImage) (*Scheme, error) {
@@ -96,7 +87,7 @@ func RestoreScheme(img SchemeImage) (*Scheme, error) {
 		localAS: img.LocalAS,
 		nhIDs:   make(map[uint32]uint64, len(img.NHs)),
 		nhASes:  make(map[uint64]uint32, len(img.NHs)),
-		tags:    make(map[netaddr.Prefix]Tag, len(img.Tags)),
+		tags:    img.Tags,
 		linkIDs: make([]map[topology.Link]uint64, len(img.LinkDicts)),
 	}
 	for i, dict := range img.LinkDicts {
@@ -138,11 +129,10 @@ func RestoreScheme(img SchemeImage) (*Scheme, error) {
 		s.nhASes[nv.Value] = nv.AS
 	}
 	s.layout()
-	for i, ta := range img.Tags {
-		if i > 0 && ta.Prefix <= img.Tags[i-1].Prefix {
-			return nil, fmt.Errorf("encoding: restore: tags not ascending at %v", ta.Prefix)
+	for i := 1; i < len(img.Tags); i++ {
+		if img.Tags[i].Prefix <= img.Tags[i-1].Prefix {
+			return nil, fmt.Errorf("encoding: restore: tags not ascending at %v", img.Tags[i].Prefix)
 		}
-		s.tags[ta.Prefix] = ta.Tag
 	}
 	return s, nil
 }

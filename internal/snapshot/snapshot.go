@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"swift/internal/burst"
-	"swift/internal/dataplane"
 	"swift/internal/encoding"
 	"swift/internal/event"
 	"swift/internal/netaddr"
@@ -286,17 +285,9 @@ func encodePeer(e *enc, p *PeerImage) {
 			e.u32(nv.AS)
 			e.u64(nv.Value)
 		}
-		e.u64(uint64(len(s.Tags)))
-		for _, t := range s.Tags {
-			e.u64(uint64(t.Prefix))
-			e.u64(uint64(t.Tag))
-		}
+		e.tags(s.Tags)
 	}
-	e.u64(uint64(len(st.FIB.Tags)))
-	for _, t := range st.FIB.Tags {
-		e.u64(uint64(t.Prefix))
-		e.u64(uint64(t.Tag))
-	}
+	e.tags(st.FIB.Tags)
 	e.u64(uint64(len(st.FIB.Rules)))
 	for _, r := range st.FIB.Rules {
 		e.u64(uint64(r.Value))
@@ -389,22 +380,10 @@ func decodePeer(d *dec, p *PeerImage) {
 			s.NHs[i].AS = d.u32()
 			s.NHs[i].Value = d.u64()
 		}
-		n = d.count(16)
-		s.Tags = make([]encoding.TagAssignment, n)
-		for i := range s.Tags {
-			s.Tags[i].Prefix = d.prefix()
-			s.Tags[i].Tag = encoding.Tag(d.u64())
-		}
+		s.Tags = d.tags()
 		st.Scheme = s
 	}
-	n = d.count(16)
-	if n > 0 {
-		st.FIB.Tags = make([]dataplane.TagEntry, n)
-		for i := range st.FIB.Tags {
-			st.FIB.Tags[i].Prefix = d.prefix()
-			st.FIB.Tags[i].Tag = encoding.Tag(d.u64())
-		}
-	}
+	st.FIB.Tags = d.tags()
 	n = d.count(28)
 	if n > 0 {
 		st.FIB.Rules = make([]encoding.Rule, n)
@@ -467,6 +446,13 @@ func (e *enc) links(ls []topology.Link) {
 	e.u64(uint64(len(ls)))
 	for _, l := range ls {
 		e.link(l)
+	}
+}
+func (e *enc) tags(ts []encoding.TagAssignment) {
+	e.u64(uint64(len(ts)))
+	for _, t := range ts {
+		e.u64(uint64(t.Prefix))
+		e.u64(uint64(t.Tag))
 	}
 }
 func (e *enc) u32s(v []uint32) {
@@ -571,6 +557,21 @@ func (d *dec) links() []topology.Link {
 		ls[i] = d.link()
 	}
 	return ls
+}
+
+// tags decodes a stage-1 assignment — the scheme's and the FIB's are
+// the same sorted (prefix, tag) slice.
+func (d *dec) tags() []encoding.TagAssignment {
+	n := d.count(16)
+	if n == 0 {
+		return nil
+	}
+	ts := make([]encoding.TagAssignment, n)
+	for i := range ts {
+		ts[i].Prefix = d.prefix()
+		ts[i].Tag = encoding.Tag(d.u64())
+	}
+	return ts
 }
 
 func (d *dec) u32s() []uint32 {

@@ -225,3 +225,36 @@ func TestApplySteadyStateZeroAllocInstrumented(t *testing.T) {
 		})
 	}
 }
+
+// TestReprovisionAllocs pins the cost of the burst-end fallback: a full
+// recompile (plan, scheme, sorted tag assignment, stage-1 bulk build
+// into the previous table's slab) of a 20k-prefix peer allocates a few
+// hundred objects — dictionaries and a handful of table-sized slices —
+// not two per prefix.
+func TestReprovisionAllocs(t *testing.T) {
+	const n = 20000
+	e := New(Config{LocalAS: 1, PrimaryNeighbor: 2, DisableProvisionSkip: true})
+	for i := 0; i < n; i++ {
+		origin := uint32(100 + i%40)
+		p := netaddr.PrefixFor(origin, i/40)
+		e.LearnPrimary(p, []uint32{2, 5 + origin%4, 20 + origin%7, origin})
+		e.LearnAlternate(3, p, []uint32{3, 30 + origin%3, origin})
+		if i%2 == 0 {
+			e.LearnAlternate(4, p, []uint32{4, origin})
+		}
+	}
+	if err := e.Provision(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := e.provision(time.Second, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 2000 {
+		t.Fatalf("burst-end re-provision of %d prefixes: %.0f allocs, want < 2000", n, allocs)
+	}
+	if got := e.FIB().NumTags(); got != n {
+		t.Fatalf("NumTags after re-provision = %d, want %d", got, n)
+	}
+}

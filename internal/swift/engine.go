@@ -326,13 +326,15 @@ func (e *Engine) provision(at time.Duration, fallback bool) error {
 	if err != nil {
 		return err
 	}
+	// The scheme's sorted tag assignment is handed to the FIB wholesale,
+	// which bulk-builds stage 1 from it into the previous table's slab.
+	// The primary rule is replaced, not stacked: a fallback pass
+	// re-derives it, and leaving the previous one in stage 2 would grow
+	// the table by one duplicate per burst.
+	if err := e.fib.ReplaceTags(scheme.Tags()); err != nil {
+		return err
+	}
 	e.scheme = scheme
-	// The scheme's tag map is rebuilt per provision; hand it to the FIB
-	// wholesale instead of copying entry by entry. The primary rule is
-	// replaced, not stacked: a fallback pass re-derives it, and leaving
-	// the previous one in stage 2 would grow the table by one duplicate
-	// per burst.
-	e.fib.ReplaceTags(scheme.Tags())
 	e.fib.RemoveRulesAt(primaryPriority)
 	if r, ok := scheme.PrimaryRule(e.cfg.PrimaryNeighbor); ok {
 		e.fib.InstallRule(r)
