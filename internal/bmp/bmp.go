@@ -374,21 +374,30 @@ func (m *PeerUp) Decode(body []byte) error {
 	m.RemotePort = binary.BigEndian.Uint16(b[18:20])
 	b = b[20:]
 	for _, dst := range []**bgp.Open{&m.SentOpen, &m.RecvOpen} {
-		h, err := bgp.ParseHeader(b)
-		if err != nil {
-			return fmt.Errorf("bmp: embedded OPEN header: %w", err)
-		}
-		if h.Type != bgp.TypeOpen || len(b) < int(h.Len) {
-			return fmt.Errorf("%w: peer up OPEN", ErrShortMessage)
+		var pdu []byte
+		if pdu, b, err = embedded(b, bgp.TypeOpen, "OPEN"); err != nil {
+			return err
 		}
 		o := new(bgp.Open)
-		if err := o.Decode(b[bgp.HeaderLen:h.Len]); err != nil {
+		if err := o.Decode(pdu); err != nil {
 			return fmt.Errorf("bmp: embedded OPEN: %w", err)
 		}
 		*dst = o
-		b = b[h.Len:]
 	}
 	return nil
+}
+
+// embedded splits the BGP message of type typ off the front of b and
+// returns its body and whatever follows it.
+func embedded(b []byte, typ uint8, what string) (body, rest []byte, err error) {
+	h, err := bgp.ParseHeader(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bmp: embedded %s header: %w", what, err)
+	}
+	if h.Type != typ || len(b) < int(h.Len) {
+		return nil, nil, fmt.Errorf("%w: embedded %s", ErrShortMessage, what)
+	}
+	return b[bgp.HeaderLen:h.Len], b[h.Len:], nil
 }
 
 // PeerDown reports a monitored peer session going down (§4.9).
@@ -442,15 +451,12 @@ func (m *PeerDown) Decode(body []byte) error {
 	b = b[1:]
 	switch m.Reason {
 	case DownLocalNotification, DownRemoteNotification:
-		h, err := bgp.ParseHeader(b)
+		pdu, _, err := embedded(b, bgp.TypeNotification, "NOTIFICATION")
 		if err != nil {
-			return fmt.Errorf("bmp: embedded NOTIFICATION header: %w", err)
-		}
-		if h.Type != bgp.TypeNotification || len(b) < int(h.Len) {
-			return fmt.Errorf("%w: peer down NOTIFICATION", ErrShortMessage)
+			return err
 		}
 		n := new(bgp.Notification)
-		if err := n.Decode(b[bgp.HeaderLen:h.Len]); err != nil {
+		if err := n.Decode(pdu); err != nil {
 			return err
 		}
 		m.Notification = n
@@ -498,15 +504,12 @@ func (m *RouteMonitoring) Decode(body []byte) error {
 	if err != nil {
 		return err
 	}
-	h, err := bgp.ParseHeader(b)
+	pdu, _, err := embedded(b, bgp.TypeUpdate, "UPDATE")
 	if err != nil {
-		return fmt.Errorf("bmp: embedded UPDATE header: %w", err)
-	}
-	if h.Type != bgp.TypeUpdate || len(b) < int(h.Len) {
-		return fmt.Errorf("%w: route monitoring UPDATE", ErrShortMessage)
+		return err
 	}
 	u := new(bgp.Update)
-	if err := u.Decode(b[bgp.HeaderLen:h.Len]); err != nil {
+	if err := u.Decode(pdu); err != nil {
 		return err
 	}
 	m.Update = u
@@ -638,25 +641,31 @@ func DecodeMessage(typ uint8, body []byte) (Message, error) {
 	return nil, fmt.Errorf("%w: %d", ErrBadType, typ)
 }
 
-// Reader frames BMP messages off a stream into a reusable buffer: the
-// returned body is valid only until the next call, which is what a
-// demuxing hot loop wants (zero steady-state allocation).
+// Reader frames BMP messages off a stream without copying them: Next
+// returns a view into the read buffer, valid only until the next call,
+// which is what a demuxing hot loop wants (zero allocation per frame).
+// The buffer is MaxMsgLen bytes, so a whole frame always fits.
 type Reader struct {
-	br  *bufio.Reader
-	buf []byte
+	br *bufio.Reader
+	// skip is the length of the frame the last Next returned. It is
+	// discarded on the following call, not before, so the view stays
+	// valid in between.
+	skip int
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{br: bufio.NewReaderSize(r, MaxMsgLen)}
 }
 
 // Next returns the next message's type and body. io.EOF marks a clean
 // end of stream between messages.
 func (r *Reader) Next() (typ uint8, body []byte, err error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+	r.br.Discard(r.skip) // cannot fail: the frame was peeked whole
+	r.skip = 0
+	hdr, err := r.br.Peek(HeaderLen)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
 			return 0, nil, ErrShortMessage
 		}
 		return 0, nil, err
@@ -668,22 +677,30 @@ func (r *Reader) Next() (typ uint8, body []byte, err error) {
 	if total < HeaderLen || total > MaxMsgLen {
 		return 0, nil, fmt.Errorf("%w: %d", ErrBadLength, total)
 	}
-	typ = hdr[5]
-	n := int(total) - HeaderLen
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
-	}
-	body = r.buf[:n]
-	if _, err := io.ReadFull(r.br, body); err != nil {
+	frame, err := r.br.Peek(int(total))
+	if err != nil {
 		return 0, nil, ErrShortMessage
 	}
-	return typ, body, nil
+	r.skip = int(total)
+	return frame[5], frame[HeaderLen:], nil
 }
 
-// Buffered reports how many undrained bytes sit in the read buffer —
-// the demux loop uses it to flush batches before blocking on the
-// socket.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
+// Buffered reports how many bytes past the current frame sit in the
+// read buffer — the demux loop flushes its batches when it is zero.
+func (r *Reader) Buffered() int { return r.br.Buffered() - r.skip }
+
+// Ready reports whether the buffer already holds all the bytes the next
+// frame's length field asks for, so Next returns without reading from
+// the stream. A read-burst lasts while Ready holds; a header Next will
+// reject may end one early, and then the following Next rejects it.
+func (r *Reader) Ready() bool {
+	n := r.Buffered()
+	if n < HeaderLen {
+		return false
+	}
+	b, _ := r.br.Peek(r.skip + HeaderLen) // buffered: no read, no error
+	return uint64(binary.BigEndian.Uint32(b[r.skip+1:])) <= uint64(n)
+}
 
 // ReadMessage reads and decodes the next message off rd, allocating
 // fresh storage (the convenience path; hot loops use Next plus

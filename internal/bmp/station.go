@@ -2,7 +2,6 @@ package bmp
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -28,9 +27,9 @@ type StationConfig struct {
 	// never send the marker). Default 3 s.
 	TableSettle time.Duration
 	// BatchEvents caps how many events accumulate per peer before a
-	// batch is handed to the sink (default 512). Batches also flush
-	// whenever the connection's read buffer drains, so latency stays at
-	// one syscall under light load.
+	// batch is handed to the sink (default event.DefaultBatchEvents).
+	// Batches also flush whenever the connection's read buffer drains,
+	// so latency stays at one syscall under light load.
 	BatchEvents int
 	// Logf, when set, receives one line per station event.
 	Logf func(format string, args ...any)
@@ -43,13 +42,6 @@ func (c StationConfig) tableSettle() time.Duration {
 	return c.TableSettle
 }
 
-func (c StationConfig) batchEvents() int {
-	if c.BatchEvents <= 0 {
-		return 512
-	}
-	return c.BatchEvents
-}
-
 // StationMetrics is a snapshot of a station's ingestion counters.
 type StationMetrics struct {
 	Conns           int
@@ -58,8 +50,8 @@ type StationMetrics struct {
 	PeerUps         uint64
 	PeerDowns       uint64
 	StatsReports    uint64
-	// Bytes counts wire bytes read off router connections — the ingest
-	// rate's numerator.
+	// Bytes counts the wire bytes of the messages counted above — the
+	// ingest rate's numerator.
 	Bytes uint64
 	// DecodeErrors counts connections dropped on framing or embedded-
 	// UPDATE decode failures. Nonzero means a router is sending garbage
@@ -126,7 +118,9 @@ func (st *Station) clock(key event.PeerKey) *event.StreamClock {
 	return c
 }
 
-// Metrics snapshots the ingestion counters.
+// Metrics snapshots the ingestion counters. Messages, RouteMonitoring
+// and Bytes are published once per read-burst (see connState.burst), so
+// they trail each connection by at most the frames of one read buffer.
 func (st *Station) Metrics() StationMetrics {
 	st.mu.Lock()
 	conns := len(st.conns)
@@ -219,10 +213,10 @@ func (st *Station) untrack(conn net.Conn) {
 type peerStream struct {
 	key   event.PeerKey
 	clock *event.StreamClock
-	// dst receives this peer's batches: the sink's bound per-peer fast
-	// path when it offers one (event.PeerSink), the sink itself
-	// otherwise.
-	dst event.Sink
+	// out lowers this peer's live UPDATEs into batches for the sink's
+	// bound per-peer fast path when it offers one (event.PeerSink), the
+	// sink itself otherwise.
+	out *event.Builder
 
 	// syncing is true while the initial table dump drains into the
 	// sink's Provisioner; End-of-RIB (or the settle timer) flips it.
@@ -232,7 +226,6 @@ type peerStream struct {
 	// messages, putting its engine clock in the router's time domain.
 	sawTimestamp bool
 
-	pending event.Batch
 	learned int
 	lastMsg time.Time // wall-clock arrival of the newest message
 	lastAt  time.Duration
@@ -262,31 +255,18 @@ func (st *Station) ServeConn(conn net.Conn) error {
 	defer close(stop)
 	go c.settleLoop(stop)
 
-	r := NewReader(&countingReader{r: conn, n: &st.bytes})
+	r := NewReader(conn)
 	for {
-		typ, body, err := r.Next()
-		if err != nil {
-			c.flushAll()
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
-			st.decodeErr.Add(1)
-			return err
+		typ, body, err := r.Next() // the one call that waits on the socket
+		err = c.burst(r, typ, body, err)
+		switch {
+		case err == nil:
+			continue
+		case errors.Is(err, errTerminated), errors.Is(err, net.ErrClosed), errors.Is(err, io.EOF):
+			return nil
 		}
-		st.messages.Add(1)
-		if err := c.handle(typ, body); err != nil {
-			if errors.Is(err, errTerminated) {
-				c.flushAll()
-				return nil
-			}
-			st.decodeErr.Add(1)
-			c.flushAll()
-			return err
-		}
-		// About to block on the socket: hand off everything pending.
-		if r.Buffered() == 0 {
-			c.flushAll()
-		}
+		st.decodeErr.Add(1)
+		return err
 	}
 }
 
@@ -303,33 +283,69 @@ type connState struct {
 	sysName string
 	upd     bgp.UpdateDecoder
 	peerHdr PeerHeader
+	// now is the wall clock of the read-burst being handled; routeMon
+	// counts its Route Monitoring frames until burst publishes them.
+	now      time.Time
+	routeMon uint64
+}
+
+// burst handles the frame Next just returned and then every complete
+// frame the read buffer already holds — receive a burst, process a
+// burst — under one hold of c.mu, one clock read and one publication of
+// the message counters, instead of one of each per message. Pending
+// batches go to the sink when the buffer drains completely (or on any
+// error, which ends the connection); a partial frame left in the buffer
+// keeps them for the next burst, bounded by the settle scanner.
+func (c *connState) burst(r *Reader, typ uint8, body []byte, err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = time.Now()
+	var msgs, wire uint64
+	for err == nil {
+		msgs++
+		wire += uint64(HeaderLen + len(body))
+		if err = c.handle(typ, body); err != nil || !r.Ready() {
+			break
+		}
+		typ, body, err = r.Next()
+	}
+	c.st.messages.Add(msgs)
+	c.st.bytes.Add(wire)
+	c.st.routeMon.Add(c.routeMon)
+	c.routeMon = 0
+	if err != nil || r.Buffered() == 0 {
+		c.flushAll()
+	}
+	return err
 }
 
 func (c *connState) stream(key event.PeerKey) *peerStream {
 	if ps, ok := c.peers[key]; ok {
 		return ps
 	}
+	dst := c.st.cfg.Sink
+	if fast, ok := dst.(event.PeerSink); ok {
+		dst = fast.PeerSink(key)
+	}
 	ps := &peerStream{
 		key:   key,
 		clock: c.st.clock(key),
-		dst:   c.st.cfg.Sink,
+		out:   event.NewBuilder(dst, c.st.cfg.BatchEvents),
 		// A sink without a setup surface — or a peer provisioned
 		// out-of-band (tests, preloaded tables) — skips the table-dump
 		// phase and goes straight to live.
 		syncing: c.st.prov != nil && !c.st.prov.Provisioned(key),
-		lastMsg: time.Now(),
-	}
-	if fast, ok := c.st.cfg.Sink.(event.PeerSink); ok {
-		ps.dst = fast.PeerSink(key)
+		lastMsg: c.now,
 	}
 	c.peers[key] = ps
 	return ps
 }
 
+// handle demuxes one message. Caller holds c.mu.
 func (c *connState) handle(typ uint8, body []byte) error {
 	switch typ {
 	case TypeRouteMonitoring:
-		c.st.routeMon.Add(1)
+		c.routeMon++
 		return c.handleRouteMonitoring(body)
 	case TypePeerUp:
 		c.st.peerUps.Add(1)
@@ -338,10 +354,7 @@ func (c *connState) handle(typ uint8, body []byte) error {
 			return err
 		}
 		key := event.PeerKey{AS: m.Peer.AS, BGPID: m.Peer.BGPID}
-		c.mu.Lock()
-		syncing := c.stream(key).syncing
-		c.mu.Unlock()
-		c.st.logf("bmp: peer up %s (syncing=%v)", key, syncing)
+		c.st.logf("bmp: peer up %s (syncing=%v)", key, c.stream(key).syncing)
 		return nil
 	case TypePeerDown:
 		c.st.peerDown.Add(1)
@@ -350,12 +363,10 @@ func (c *connState) handle(typ uint8, body []byte) error {
 			return err
 		}
 		key := event.PeerKey{AS: m.Peer.AS, BGPID: m.Peer.BGPID}
-		c.mu.Lock()
 		if ps, ok := c.peers[key]; ok {
-			c.flushLocked(ps)
+			c.flush(ps)
 			delete(c.peers, key)
 		}
-		c.mu.Unlock()
 		c.st.logf("bmp: peer down %s reason %d", key, m.Reason)
 		return nil
 	case TypeStatsReport:
@@ -389,28 +400,26 @@ func (c *connState) handle(typ uint8, body []byte) error {
 }
 
 // handleRouteMonitoring is the hot path: peer header + UPDATE, decoded
-// without allocation into per-peer event batches.
+// in place (the frame is a view into the read buffer, the UPDATE lands
+// in the connection's reused decoder) and lowered through the peer's
+// event.Builder, which owns the only copy made — the AS path, into its
+// arena. Caller holds c.mu.
 func (c *connState) handleRouteMonitoring(body []byte) error {
 	b, err := ParsePeerHeader(body, &c.peerHdr)
 	if err != nil {
 		return err
 	}
-	h, err := bgp.ParseHeader(b)
+	pdu, _, err := embedded(b, bgp.TypeUpdate, "UPDATE")
 	if err != nil {
-		return fmt.Errorf("bmp: embedded UPDATE header: %w", err)
+		return err
 	}
-	if h.Type != bgp.TypeUpdate || len(b) < int(h.Len) {
-		return fmt.Errorf("%w: route monitoring UPDATE", ErrShortMessage)
-	}
-	if err := c.upd.Decode(b[bgp.HeaderLen:h.Len]); err != nil {
+	if err := c.upd.Decode(pdu); err != nil {
 		return err
 	}
 
 	key := event.PeerKey{AS: c.peerHdr.AS, BGPID: c.peerHdr.BGPID}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ps := c.stream(key)
-	ps.lastMsg = time.Now()
+	ps.lastMsg = c.now
 	at := c.streamOffset(ps)
 
 	if ps.syncing {
@@ -420,30 +429,18 @@ func (c *connState) handleRouteMonitoring(body []byte) error {
 			c.provisionLocked(ps)
 			return nil
 		}
-		if len(c.upd.NLRI) > 0 {
-			path := append([]uint32(nil), c.upd.Attrs.ASPath...)
-			for _, p := range c.upd.NLRI {
-				c.st.prov.Learn(key, p, path)
-				ps.learned++
-			}
-		}
+		// Learn interns the path, so the decoder's buffer goes in as is.
 		// Withdrawals during a table dump carry no signal; skip them.
+		for _, p := range c.upd.NLRI {
+			c.st.prov.Learn(key, p, c.upd.Attrs.ASPath)
+			ps.learned++
+		}
 		return nil
 	}
 
-	for _, p := range c.upd.Withdrawn {
-		ps.pending = append(ps.pending, event.Withdraw(at, p).WithPeer(key))
-	}
-	if len(c.upd.NLRI) > 0 {
-		// One path copy per UPDATE, shared by all its NLRI events.
-		path := append([]uint32(nil), c.upd.Attrs.ASPath...)
-		for _, p := range c.upd.NLRI {
-			ps.pending = append(ps.pending, event.Announce(at, p, path).WithPeer(key))
-		}
-	}
 	ps.lastAt = at
-	if len(ps.pending) >= c.st.cfg.batchEvents() {
-		c.flushLocked(ps)
+	if err := ps.out.Update(key, at, c.upd.Withdrawn, c.upd.NLRI, c.upd.Attrs.ASPath); err != nil {
+		c.st.logf("bmp: peer %s: sink: %v", ps.key, err)
 	}
 	return nil
 }
@@ -457,7 +454,7 @@ func (c *connState) handleRouteMonitoring(body []byte) error {
 func (c *connState) streamOffset(ps *peerStream) time.Duration {
 	ts := c.peerHdr.Timestamp()
 	if ts.IsZero() {
-		ts = time.Now()
+		ts = c.now
 	} else {
 		ps.sawTimestamp = true
 	}
@@ -473,23 +470,17 @@ func (c *connState) provisionLocked(ps *peerStream) {
 	c.st.logf("bmp: peer %s provisioned (%d routes learned)", ps.key, ps.learned)
 }
 
-// flushLocked hands the pending batch to the sink. Caller holds c.mu.
-func (c *connState) flushLocked(ps *peerStream) {
-	if len(ps.pending) == 0 {
-		return
-	}
-	b := ps.pending
-	ps.pending = make(event.Batch, 0, cap(b))
-	if err := ps.dst.Apply(b); err != nil {
+// flush hands ps's pending batch to the sink. Caller holds c.mu.
+func (c *connState) flush(ps *peerStream) {
+	if err := ps.out.Flush(); err != nil {
 		c.st.logf("bmp: peer %s: sink: %v", ps.key, err)
 	}
 }
 
+// flushAll flushes every peer. Caller holds c.mu.
 func (c *connState) flushAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, ps := range c.peers {
-		c.flushLocked(ps)
+		c.flush(ps)
 	}
 }
 
@@ -516,13 +507,14 @@ func (c *connState) settleLoop(stop <-chan struct{}) {
 				}
 				continue
 			}
-			if quiet >= settle/4 && len(ps.pending) > 0 {
-				// The read loop only flushes when its buffer drains or
-				// a batch fills; a connection stalled mid-message can
-				// strand a sub-batch here. Bound that delay.
-				c.flushLocked(ps)
+			if quiet < settle/4 {
+				continue
 			}
-			if quiet >= settle/4 && ps.lastAt > 0 && !ps.sawTimestamp {
+			// The read loop only flushes when its buffer drains or a
+			// batch fills; a connection stalled mid-message can strand a
+			// sub-batch here. Bound that delay.
+			c.flush(ps)
+			if ps.lastAt > 0 && !ps.sawTimestamp {
 				// Advance the engine clock past the quiet gap so the
 				// burst detector can declare the burst over. Only for
 				// peers in the wall-clock domain: a timestamped stream
@@ -531,29 +523,13 @@ func (c *connState) settleLoop(stop <-chan struct{}) {
 				// stream during replays faster or slower than real
 				// time — those peers' bursts close through their own
 				// message timeline instead.
-				tick := event.Batch{event.Tick(ps.lastAt + quiet).WithPeer(ps.key)}
-				if err := ps.dst.Apply(tick); err != nil {
+				if err := ps.out.Tick(ps.key, ps.lastAt+quiet); err != nil {
 					c.st.logf("bmp: peer %s: sink: %v", ps.key, err)
 				}
 			}
 		}
 		c.mu.Unlock()
 	}
-}
-
-// countingReader tallies wire bytes into the station's ingest counter
-// as they are read off the connection.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.n.Add(uint64(n))
-	}
-	return n, err
 }
 
 func (st *Station) logf(format string, args ...any) {

@@ -25,6 +25,7 @@ import (
 type Controller struct {
 	mu     sync.Mutex
 	engine *swiftengine.Engine
+	out    *event.Builder // lowers session UPDATEs into engine batches; guarded by mu
 	start  time.Time
 	logf   func(string, ...any)
 
@@ -41,7 +42,7 @@ func New(engine *swiftengine.Engine, logf func(string, ...any)) *Controller {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Controller{engine: engine, start: time.Now(), logf: logf}
+	return &Controller{engine: engine, out: event.NewBuilder(engine, 0), start: time.Now(), logf: logf}
 }
 
 // Engine returns the wrapped engine. Callers must not use it
@@ -85,29 +86,39 @@ func (c *Controller) AttachPrimary(s *bgpd.Session) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		for u := range s.Updates() {
-			c.apply(u)
+		updates := s.Updates()
+		for u := range updates {
+			c.apply(u, updates)
 		}
 		c.logf("controller: primary session with AS%d closed", s.PeerAS())
 	}()
 }
 
-// apply feeds one UPDATE into the engine as an event batch with a
-// wall-clock stream offset.
-func (c *Controller) apply(u *bgp.Update) {
+// apply feeds u, and every UPDATE already queued behind it on more,
+// into the engine with a wall-clock stream offset: one burst of
+// received UPDATEs becomes one batch (split only at the builder's cap),
+// not one batch per message.
+func (c *Controller) apply(u *bgp.Update, more <-chan *bgp.Update) {
 	at := time.Since(c.start)
-	b := make(event.Batch, 0, len(u.Withdrawn)+len(u.NLRI))
-	for _, p := range u.Withdrawn {
-		b = append(b, event.Withdraw(at, p))
-	}
-	for _, p := range u.NLRI {
-		b = append(b, event.Announce(at, p, u.Attrs.ASPath))
-	}
-	c.withdrawals.Add(uint64(len(u.Withdrawn)))
-	c.announcements.Add(uint64(len(u.NLRI)))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.engine.Apply(b); err != nil {
+	var err error
+	var wd, ann int
+	for u != nil && err == nil {
+		wd, ann = wd+len(u.Withdrawn), ann+len(u.NLRI)
+		err = c.out.Update(event.PeerKey{}, at, u.Withdrawn, u.NLRI, u.Attrs.ASPath)
+		select {
+		case u = <-more: // nil once the session closed the channel
+		default:
+			u = nil
+		}
+	}
+	c.withdrawals.Add(uint64(wd))
+	c.announcements.Add(uint64(ann))
+	if err == nil {
+		err = c.out.Flush()
+	}
+	if err != nil {
 		c.logf("controller: apply: %v", err)
 	}
 }
@@ -118,7 +129,7 @@ func (c *Controller) Tick() {
 	at := time.Since(c.start)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.engine.Apply(event.Batch{event.Tick(at)}); err != nil {
+	if err := c.out.Tick(event.PeerKey{}, at); err != nil {
 		c.logf("controller: tick: %v", err)
 	}
 }

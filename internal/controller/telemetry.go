@@ -259,6 +259,7 @@ func RegisterFleetMetrics(reg *telemetry.Registry, f *Fleet) {
 	poolPaths := reg.Gauge("swift_pool_paths", "Live interned AS paths in the shared pool.")
 	poolLinks := reg.Gauge("swift_pool_links", "Numbered AS links in the shared pool.")
 	poolFree := reg.Gauge("swift_pool_free_slots", "Freed intern slots awaiting reuse.")
+	poolLimbo := reg.Gauge("swift_pool_limbo_paths", "Unreferenced AS paths still indexed, awaiting revival or the sweep.")
 	poolShardMax := reg.Gauge("swift_pool_shard_paths_max",
 		"Most-loaded intern shard's live path count (compare against swift_pool_paths/16 for balance).")
 	fibTags := reg.GaugeVec("swift_fib_tags", "Stage-1 tagged prefixes, per peer.", "peer")
@@ -282,6 +283,7 @@ func RegisterFleetMetrics(reg *telemetry.Registry, f *Fleet) {
 		poolPaths.Set(float64(ps.Paths))
 		poolLinks.Set(float64(ps.Links))
 		poolFree.Set(float64(ps.FreeSlots))
+		poolLimbo.Set(float64(ps.Limbo))
 		poolShardMax.Set(float64(ps.MaxShardPaths()))
 		rerouting.Set(float64(f.rerouting.Load()))
 

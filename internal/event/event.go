@@ -67,8 +67,9 @@ type Event struct {
 	// Prefix is the subject prefix (withdraw/announce only).
 	Prefix netaddr.Prefix
 	// Path is the announced AS path; nil for withdrawals and ticks.
-	// Consecutive announce events from one UPDATE share the same
-	// backing slice — sinks must not mutate it.
+	// Announce events of one UPDATE share one backing array, which
+	// stays intact for as long as anything references it: a sink may
+	// keep a Path, but must not write to it or append to it.
 	Path []uint32
 	// Peer attributes the event to its session. Single-session sinks
 	// ignore it; fleet sinks demultiplex on it.
@@ -83,7 +84,9 @@ func Withdraw(at time.Duration, p netaddr.Prefix) Event {
 }
 
 // Announce builds an announcement event. The path is retained, not
-// copied: callers that reuse path buffers must copy first.
+// copied, and must never change afterwards (see Event.Path). Sources
+// lowering decoded UPDATEs do not call this: they hand the decoder's
+// reused buffers to a Builder, which owns the copy.
 func Announce(at time.Duration, p netaddr.Prefix, path []uint32) Event {
 	return Event{Kind: KindAnnounce, At: at, Prefix: p, Path: path}
 }
@@ -144,6 +147,8 @@ type PeerSink interface {
 // be provisioned out-of-band.
 type Provisioner interface {
 	// Learn installs one initial-table route on the peer's primary RIB.
+	// path is the caller's to reuse once Learn returns: implementations
+	// intern or copy it.
 	Learn(peer PeerKey, p netaddr.Prefix, path []uint32)
 	// Provisioned reports whether the peer's reroute plan is compiled.
 	Provisioned(peer PeerKey) bool

@@ -8,6 +8,7 @@ package mrt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,9 +114,24 @@ func (w *Writer) WriteBGP4MP(ts time.Time, peerAS, localAS, peerIP, localIP uint
 	return w.writeRecord(ts, TypeBGP4MP, SubtypeBGP4MPMessageAS4, body)
 }
 
-// Reader decodes MRT records from a stream.
+// recordHeaderLen is the MRT common header: timestamp, type, subtype,
+// body length.
+const recordHeaderLen = 12
+
+// Reader decodes MRT records from a stream without allocating per
+// record: Next and NextBGP4MP return the reader's own Record and
+// BGP4MPMessage, whose bodies are views into the read buffer. Both are
+// valid only until the next call; callers keeping anything copy it.
 type Reader struct {
 	r *bufio.Reader
+	// skip is the length of the buffered record the last Next returned,
+	// discarded on the following call so the view stays valid until then.
+	skip int
+	rec  Record
+	msg  BGP4MPMessage
+	// big holds a record too large for the read buffer. It grows as the
+	// record's bytes arrive, never on the word of the length field.
+	big bytes.Buffer
 }
 
 // NewReader wraps r.
@@ -125,25 +141,37 @@ func NewReader(r io.Reader) *Reader {
 
 // Next returns the next raw record, or io.EOF at end of stream.
 func (r *Reader) Next() (*Record, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+	r.r.Discard(r.skip) // cannot fail: the record was peeked whole
+	r.skip = 0
+	hdr, err := r.r.Peek(recordHeaderLen)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
 			return nil, ErrTruncated
 		}
 		return nil, err
 	}
-	rec := &Record{
-		Timestamp: time.Unix(int64(binary.BigEndian.Uint32(hdr[0:4])), 0).UTC(),
-		Type:      binary.BigEndian.Uint16(hdr[4:6]),
-		Subtype:   binary.BigEndian.Uint16(hdr[6:8]),
-	}
-	blen := binary.BigEndian.Uint32(hdr[8:12])
+	rec := &r.rec
+	rec.Timestamp = time.Unix(int64(binary.BigEndian.Uint32(hdr[0:4])), 0).UTC()
+	rec.Type = binary.BigEndian.Uint16(hdr[4:6])
+	rec.Subtype = binary.BigEndian.Uint16(hdr[6:8])
+	blen := int(binary.BigEndian.Uint32(hdr[8:12]))
 	if blen > 1<<24 {
 		return nil, fmt.Errorf("mrt: implausible record length %d", blen)
 	}
-	rec.Body = make([]byte, blen)
-	if _, err := io.ReadFull(r.r, rec.Body); err != nil {
-		return nil, ErrTruncated
+	if total := recordHeaderLen + blen; total <= r.r.Size() {
+		whole, err := r.r.Peek(total)
+		if err != nil {
+			return nil, ErrTruncated
+		}
+		r.skip = total
+		rec.Body = whole[recordHeaderLen:]
+	} else {
+		r.r.Discard(recordHeaderLen) // peeked above
+		r.big.Reset()
+		if _, err := io.CopyN(&r.big, r.r, int64(blen)); err != nil {
+			return nil, ErrTruncated
+		}
+		rec.Body = r.big.Bytes()
 	}
 	if rec.Type == TypeBGP4MPET {
 		// Extended-timestamp records carry 4 extra microsecond bytes
@@ -175,11 +203,15 @@ func (r *Reader) NextBGP4MP() (*BGP4MPMessage, error) {
 		default:
 			continue
 		}
-		return decodeBGP4MP(rec)
+		if err := decodeBGP4MP(rec, &r.msg); err != nil {
+			return nil, err
+		}
+		return &r.msg, nil
 	}
 }
 
-func decodeBGP4MP(rec *Record) (*BGP4MPMessage, error) {
+// decodeBGP4MP decodes rec into m, whose Body aliases rec's.
+func decodeBGP4MP(rec *Record, m *BGP4MPMessage) error {
 	b := rec.Body
 	asLen := 4
 	if rec.Subtype == SubtypeBGP4MPMessage {
@@ -187,9 +219,9 @@ func decodeBGP4MP(rec *Record) (*BGP4MPMessage, error) {
 	}
 	need := 2*asLen + 4 // ASes + ifindex + AFI
 	if len(b) < need {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	m := &BGP4MPMessage{Timestamp: rec.Timestamp}
+	*m = BGP4MPMessage{Timestamp: rec.Timestamp}
 	if asLen == 4 {
 		m.PeerAS = binary.BigEndian.Uint32(b[0:4])
 		m.LocalAS = binary.BigEndian.Uint32(b[4:8])
@@ -205,7 +237,7 @@ func decodeBGP4MP(rec *Record) (*BGP4MPMessage, error) {
 		addrLen = 16
 	}
 	if len(b) < 2*addrLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if afi == 1 {
 		m.PeerIP = binary.BigEndian.Uint32(b[0:4])
@@ -213,16 +245,16 @@ func decodeBGP4MP(rec *Record) (*BGP4MPMessage, error) {
 	}
 	b = b[2*addrLen:]
 	if afi != 1 {
-		return nil, fmt.Errorf("%w: AFI %d", ErrUnsupported, afi)
+		return fmt.Errorf("%w: AFI %d", ErrUnsupported, afi)
 	}
 	h, err := bgp.ParseHeader(b)
 	if err != nil {
-		return nil, fmt.Errorf("mrt: embedded BGP header: %w", err)
+		return fmt.Errorf("mrt: embedded BGP header: %w", err)
 	}
 	if len(b) < int(h.Len) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	m.Header = h
 	m.Body = b[bgp.HeaderLen:h.Len]
-	return m, nil
+	return nil
 }

@@ -32,8 +32,9 @@ type Source struct {
 	// Epoch anchors the stream clock; events carry At = ts - Epoch.
 	// Zero selects the first update record's timestamp.
 	Epoch time.Time
-	// BatchEvents caps how many events one batch carries (default 512).
-	// Batches never split one UPDATE's events across deliveries.
+	// BatchEvents caps how many events one batch carries (default
+	// event.DefaultBatchEvents). Batches never split one UPDATE's events
+	// across deliveries.
 	BatchEvents int
 	// FinalTick, when positive, emits one closing tick this far past
 	// the last event, so the sink's burst detectors close any burst
@@ -48,13 +49,6 @@ type Source struct {
 }
 
 var _ event.Source = (*Source)(nil)
-
-func (s *Source) batchEvents() int {
-	if s.BatchEvents <= 0 {
-		return 512
-	}
-	return s.BatchEvents
-}
 
 // Run loads the snapshot (when configured), then pushes the update
 // stream into sink as timestamped event batches until the archive is
@@ -72,21 +66,13 @@ func (s *Source) Run(sink event.Sink) error {
 
 	r := NewReader(s.Updates)
 	var dec bgp.UpdateDecoder
+	out := event.NewBuilder(sink, s.BatchEvents)
 	epoch := s.Epoch
-	batch := make(event.Batch, 0, s.batchEvents())
 	lastAt := time.Duration(-1)
 	// Peers seen, in first-seen order, so a FinalTick closes every
 	// peer's bursts — not just the last record's.
 	seen := make(map[event.PeerKey]struct{})
 	var order []event.PeerKey
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		b := batch
-		batch = make(event.Batch, 0, cap(b))
-		return sink.Apply(b)
-	}
 	for {
 		m, err := r.NextBGP4MP()
 		if err == io.EOF {
@@ -109,15 +95,8 @@ func (s *Source) Run(sink event.Sink) error {
 		if key == (event.PeerKey{}) {
 			key = event.PeerKey{AS: m.PeerAS, BGPID: m.PeerIP}
 		}
-		for _, p := range dec.Withdrawn {
-			batch = append(batch, event.Withdraw(at, p).WithPeer(key))
-		}
-		if len(dec.NLRI) > 0 {
-			// One path copy per UPDATE, shared by all its NLRI events.
-			path := append([]uint32(nil), dec.Attrs.ASPath...)
-			for _, p := range dec.NLRI {
-				batch = append(batch, event.Announce(at, p, path).WithPeer(key))
-			}
+		if err := out.Update(key, at, dec.Withdrawn, dec.NLRI, dec.Attrs.ASPath); err != nil {
+			return err
 		}
 		s.Events += len(dec.Withdrawn) + len(dec.NLRI)
 		lastAt = at
@@ -125,23 +104,15 @@ func (s *Source) Run(sink event.Sink) error {
 			seen[key] = struct{}{}
 			order = append(order, key)
 		}
-		if len(batch) >= s.batchEvents() {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
 	}
 	if s.FinalTick > 0 && lastAt >= 0 {
 		for _, key := range order {
-			if err := sink.Apply(event.Batch{event.Tick(lastAt + s.FinalTick).WithPeer(key)}); err != nil {
+			if err := out.Tick(key, lastAt+s.FinalTick); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return out.Flush()
 }
 
 // loadRIB drains the TABLE_DUMP_V2 snapshot into the sink's

@@ -1,6 +1,7 @@
 package mrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -77,11 +78,12 @@ func (w *Writer) WriteRIBIPv4(ts time.Time, rec *RIBRecord) error {
 	return w.writeRecord(ts, TypeTableDumpV2, SubtypeRIBIPv4Unicast, body)
 }
 
-// WalkRIBIPv4 streams every RIB_IPV4_UNICAST record of a TABLE_DUMP_V2
-// file to fn, skipping other record types. It stops at end of stream
-// (returning nil), on a decode error, or on the first error fn
-// returns. Each record is freshly decoded: fn may retain it.
-func WalkRIBIPv4(r io.Reader, fn func(*RIBRecord) error) error {
+// walkRIBIPv4 hands fn the body of every RIB_IPV4_UNICAST record of a
+// TABLE_DUMP_V2 file, skipping other record types. It stops at end of
+// stream (returning nil), on a read error, or on the first error fn
+// returns. The body is a view into the reader's buffer, valid only
+// during the call.
+func walkRIBIPv4(r io.Reader, fn func(body []byte) error) error {
 	rd := NewReader(r)
 	for {
 		rec, err := rd.Next()
@@ -94,14 +96,24 @@ func WalkRIBIPv4(r io.Reader, fn func(*RIBRecord) error) error {
 		if rec.Type != TypeTableDumpV2 || rec.Subtype != SubtypeRIBIPv4Unicast {
 			continue
 		}
-		rr, err := DecodeRIBIPv4(rec.Body)
-		if err != nil {
-			return err
-		}
-		if err := fn(rr); err != nil {
+		if err := fn(rec.Body); err != nil {
 			return err
 		}
 	}
+}
+
+// WalkRIBIPv4 streams every RIB_IPV4_UNICAST record of a TABLE_DUMP_V2
+// file to fn (see walkRIBIPv4 for when it stops). Each record is
+// freshly decoded from its own copy of the body — unknown attribute
+// values alias it — so fn may retain the record.
+func WalkRIBIPv4(r io.Reader, fn func(*RIBRecord) error) error {
+	return walkRIBIPv4(r, func(body []byte) error {
+		rr, err := DecodeRIBIPv4(bytes.Clone(body))
+		if err != nil {
+			return err
+		}
+		return fn(rr)
+	})
 }
 
 // WalkRIBIPv4Reuse is WalkRIBIPv4 recycling one RIBRecord — entry
@@ -113,27 +125,14 @@ func WalkRIBIPv4(r io.Reader, fn func(*RIBRecord) error) error {
 // each path to the RIB's intern pool, so only the first occurrence of
 // a path is ever copied.
 func WalkRIBIPv4Reuse(r io.Reader, fn func(*RIBRecord) error) error {
-	rd := NewReader(r)
 	var rr RIBRecord
 	var dec bgp.UpdateDecoder
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
+	return walkRIBIPv4(r, func(body []byte) error {
+		if err := decodeRIBIPv4Into(body, &rr, &dec); err != nil {
 			return err
 		}
-		if rec.Type != TypeTableDumpV2 || rec.Subtype != SubtypeRIBIPv4Unicast {
-			continue
-		}
-		if err := decodeRIBIPv4Into(rec.Body, &rr, &dec); err != nil {
-			return err
-		}
-		if err := fn(&rr); err != nil {
-			return err
-		}
-	}
+		return fn(&rr)
+	})
 }
 
 // DecodePeerIndexTable decodes a PEER_INDEX_TABLE body.

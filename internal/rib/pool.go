@@ -1,6 +1,8 @@
 package rib
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,24 +38,42 @@ const (
 	// per AS hop). Longer paths fall back to a heap append — they are
 	// beyond any plausible AS path already.
 	pathKeyStack = 256
+
+	// limboMax is how many paths may drop to zero references in one shard
+	// before the shard ages its limbo: what died a generation ago and is
+	// still dead is reclaimed, what died since becomes the old
+	// generation. A shard thus holds at most about two generations of
+	// unreferenced paths, a few hundred KiB.
+	limboMax = 1024
+
+	// reclaimed is the refs value of an entry the sweep has claimed: far
+	// enough below zero that no acquire can succeed and an over-release
+	// still reads negative.
+	reclaimed = math.MinInt32 / 2
 )
 
-// pathEntry is one canonical interned path. The path and links fields
-// are written under the owning shard's lock before any handle escapes
-// and never mutated while a reference is held, so holders may read them
-// without locking. refs is atomic: retain and release never take a lock
-// unless the count hits zero.
+// pathEntry is one canonical interned path. The path, hash and links
+// fields are written under the owning shard's lock while refs is
+// reclaimed — before any handle escapes — and never mutated while refs
+// is zero or more, so holders may read them without locking.
+//
+// refs is the whole life cycle. Positive: referenced. Zero: in limbo —
+// nobody holds the path, but the entry keeps its index slot, its id, its
+// key and its link list, and the next Intern of the same path revives it
+// with one compare-and-swap. reclaimed: the sweep claimed the entry (one
+// compare-and-swap from zero, so it cannot race a revival), unindexed it
+// and queued its slot for another path.
 type pathEntry struct {
 	id   PathID
 	refs atomic.Int32
-	// freed marks an entry whose slot is on the shard free list. It is
-	// guarded by the shard lock and makes the release-to-zero path
-	// idempotent when a revived-then-re-released entry has several
-	// pending zero checks queued on the lock.
-	freed bool
+	// queued is set while the entry sits in its shard's limbo queue and
+	// nextDead links it there; whoever flips queued to true owns
+	// nextDead until the sweep pops the entry.
+	queued   atomic.Bool
+	nextDead *pathEntry
 	// path is the canonical AS sequence (neighbor first). It is dropped
-	// (not recycled) when the entry is freed, so slices handed out while
-	// the entry was live can never be overwritten by a later intern.
+	// (not recycled) when the entry is reclaimed, so slices handed out
+	// while the entry was live can never be overwritten by a later intern.
 	path []uint32
 	// hash is a 64-bit content hash of path, computed once at intern.
 	// Tables fold it into their route signature — content-addressed, so
@@ -67,20 +87,17 @@ type pathEntry struct {
 	links []LinkID
 }
 
-// acquire takes one reference iff the entry is currently referenced.
-// It is the lock-free half of the read-mostly intern: a zero count
-// means a release is (or may be) freeing the entry, and the caller must
-// fall back to the locked path. A successful CAS from a positive count
-// cannot race a free: the zero check runs under the shard lock, and no
-// reference can appear during the free's critical section.
-func (e *pathEntry) acquire() bool {
+// acquire takes one reference unless the sweep has claimed the entry,
+// and reports whether that revived it from limbo. It is the lock-free
+// half of the read-mostly intern.
+func (e *pathEntry) acquire() (revived, ok bool) {
 	for {
 		r := e.refs.Load()
-		if r <= 0 {
-			return false
+		if r < 0 {
+			return false, false
 		}
 		if e.refs.CompareAndSwap(r, r+1) {
-			return true
+			return r == 0, true
 		}
 	}
 }
@@ -118,21 +135,79 @@ func (h PathHandle) InteriorLinkIDs() []LinkID { return h.e.links }
 
 // poolShard is one intern stripe. byKey is the authoritative index,
 // guarded by mu; snap is a read-mostly copy published for lock-free
-// probes and refreshed by the publication policy below. The pad keeps
-// neighboring shards' hot state off one cache line.
+// probes and refreshed by the publication policy below. Both hold
+// referenced and limbo entries alike. The pad keeps neighboring shards'
+// hot state off one cache line.
 type poolShard struct {
 	mu    sync.Mutex
 	byKey map[string]*pathEntry
 	snap  atomic.Pointer[map[string]*pathEntry]
-	// dirty counts mutations (inserts + frees) since the last publish;
+	// dirty counts mutations (inserts + reclaims) since the last publish;
 	// misses counts locked probes that found an entry the snapshot does
 	// not have yet. Either crossing its threshold triggers a republish.
 	dirty  int
 	misses int
 	free   []*pathEntry
 	next   uint32 // next fresh shard-local slot
-	live   int
-	_      [24]byte
+	// live counts referenced paths. It moves on every 0↔1 transition of
+	// an entry's refs, by whoever made the transition, without the lock.
+	live atomic.Int64
+	// The limbo queue, two generations. dead is a lock-free stack of the
+	// entries that dropped to zero since the last aging (nDead of them);
+	// old[oldHead:] is the generation before, oldest first, guarded by
+	// mu. An entry stays queued across revivals, so its place reflects
+	// its first death; the sweep skips whatever is referenced when its
+	// turn comes.
+	dead    atomic.Pointer[pathEntry]
+	nDead   atomic.Int32
+	old     []*pathEntry
+	oldHead int
+	_       [24]byte
+}
+
+// promote makes the young generation the old one. Caller holds mu and
+// has used the old one up.
+func (s *poolShard) promote() {
+	s.old, s.oldHead = s.old[:0], 0
+	for e := s.dead.Swap(nil); e != nil; e = e.nextDead {
+		s.old = append(s.old, e)
+	}
+	s.nDead.Store(0)
+	slices.Reverse(s.old) // the stack is newest first
+}
+
+// reclaimOldest pops the oldest queued entry, promoting the young
+// generation once the old one is used up, and frees its slot if it is
+// still dead. An entry revived since it was queued is only dropped from
+// the queue: clearing queued before the claim means its next release
+// queues it again. ok is false when nothing was queued. Caller holds mu.
+func (s *poolShard) reclaimOldest() (freed, ok bool) {
+	if s.oldHead == len(s.old) {
+		if s.dead.Load() == nil {
+			return false, false
+		}
+		s.promote()
+	}
+	e := s.old[s.oldHead]
+	s.old[s.oldHead] = nil
+	s.oldHead++
+	e.queued.Store(false)
+	if !e.refs.CompareAndSwap(0, reclaimed) {
+		return false, true
+	}
+	s.unindex(e)
+	return true, true
+}
+
+// unindex drops a claimed entry from the index and queues its slot for
+// reuse. The canonical path slice is abandoned to the garbage collector
+// so previously returned slices stay intact. Caller holds mu.
+func (s *poolShard) unindex(e *pathEntry) {
+	var stack [pathKeyStack]byte
+	delete(s.byKey, string(appendPathKey(stack[:0], e.path)))
+	e.path = nil
+	s.free = append(s.free, e)
+	s.dirty++
 }
 
 // publishLocked decides whether the mutation pressure warrants cloning
@@ -164,13 +239,24 @@ func (s *poolShard) publishLocked(force bool) {
 // The pool is built for concurrent fleets: paths are sharded by a hash
 // of their content, interning an already-known path is lock-free (a
 // published-snapshot probe plus one refcount CAS), and retain/release
-// never lock until a count hits zero. Entry contents reachable through
-// a held PathHandle are immutable and may be read without any
-// synchronization; the link table is an append-only array published by
-// atomic snapshot, so LinkAt never locks either.
+// never lock. Entry contents reachable through a held PathHandle are
+// immutable and may be read without any synchronization; the link table
+// is an append-only array published by atomic snapshot, so LinkAt never
+// locks either.
+//
+// Reclamation tolerates flaps. A path whose last reference goes is not
+// freed: it waits in limbo, indexed and intact, and an Intern of the
+// same path brings back the same entry under the same PathID — which is
+// what lets everything keyed by PathID (a table's prefix groups, the
+// inference tracker's withdrawal groups) keep its capacity while a
+// path's last prefix moves away and comes back. Limbo entries are
+// reclaimed oldest first, in two cases: a new path needs a slot (a dead
+// slot is recycled before a fresh id is minted, so ids stay as dense as
+// the peak number of referenced paths), or a shard has seen limboMax
+// deaths since it last aged its queue. Len, Stats().Paths and Export
+// count referenced paths only.
 type Pool struct {
 	shards [poolShards]poolShard
-	live   atomic.Int64
 
 	linkMu   sync.RWMutex
 	linkIDs  map[topology.Link]LinkID
@@ -240,27 +326,31 @@ func shardOfPath(path []uint32) uint32 {
 }
 
 // Intern returns an owned handle for the canonical copy of path,
-// creating the entry on first sight. Interning an already-known path is
-// lock-free — a snapshot probe plus one refcount CAS — so concurrent
-// sessions announcing overlapping paths do not serialize. It is also
-// allocation-free: the probe key is built on the stack and the
-// canonical copy is shared. The caller's slice is never retained —
-// callers may reuse or mutate it freely afterwards.
+// creating the entry on first sight. Interning an already-known path —
+// referenced or in limbo — is lock-free: a snapshot probe plus one
+// refcount CAS, so concurrent sessions announcing overlapping paths do
+// not serialize. It is also allocation-free: the probe key is built on
+// the stack and the canonical copy is shared. The caller's slice is
+// never retained — callers may reuse or mutate it freely afterwards.
 func (p *Pool) Intern(path []uint32) PathHandle {
 	var stack [pathKeyStack]byte
 	key := appendPathKey(stack[:0], path)
 	si := shardOfPath(path)
 	sh := &p.shards[si]
-	if e, ok := (*sh.snap.Load())[string(key)]; ok && e.acquire() {
-		// The snapshot may be stale: the slot could have been freed and
-		// re-interned as a different path since it was published.
-		// Validate the content; on mismatch undo the acquire (a full
-		// release — the entry may legitimately die here) and take the
-		// locked path.
-		if pathsEqual(e.path, path) {
-			return PathHandle{e}
+	if e, ok := (*sh.snap.Load())[string(key)]; ok {
+		if revived, ok := e.acquire(); ok {
+			if revived {
+				sh.live.Add(1)
+			}
+			// The snapshot may be stale: the slot could have been
+			// reclaimed and re-interned as a different path since it was
+			// published. Validate the content; on mismatch undo the
+			// acquire and take the locked path.
+			if pathsEqual(e.path, path) {
+				return PathHandle{e}
+			}
+			p.ReleaseN(PathHandle{e}, 1)
 		}
-		p.ReleaseN(PathHandle{e}, 1)
 	}
 	return p.internSlow(si, key, path)
 }
@@ -270,24 +360,30 @@ func (p *Pool) internSlow(si uint32, key []byte, path []uint32) PathHandle {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.byKey[string(key)]; ok {
-		// A plain increment is safe under the lock: a pending
-		// release-to-zero aborts its free once it sees refs != 0.
-		e.refs.Add(1)
+		// An indexed entry cannot be claimed while we hold the lock, so
+		// a plain increment is safe; from zero it is a revival.
+		if e.refs.Add(1) == 1 {
+			sh.live.Add(1)
+		}
 		sh.misses++
 		sh.publishLocked(false)
 		return PathHandle{e}
+	}
+	// A dead slot is recycled before a fresh id is minted: ids index
+	// per-table slices, and every id minted grows all of them.
+	for ok := true; ok && len(sh.free) == 0; {
+		_, ok = sh.reclaimOldest()
 	}
 	var e *pathEntry
 	if n := len(sh.free); n > 0 {
 		e = sh.free[n-1]
 		sh.free = sh.free[:n-1]
-		e.freed = false
 	} else {
 		e = &pathEntry{id: PathID(sh.next<<poolShardBits) | PathID(si)}
 		sh.next++
 	}
 	// Content first, refcount last: a lock-free prober holding a stale
-	// snapshot that still maps some key to this revived slot gates on
+	// snapshot that still maps some key to this recycled slot gates on
 	// acquire() — publishing refs only after path/hash/links are written
 	// means a successful acquire can never observe a half-built entry.
 	e.path = append([]uint32(nil), path...)
@@ -295,30 +391,27 @@ func (p *Pool) internSlow(si uint32, key []byte, path []uint32) PathHandle {
 	e.links = p.interiorLinks(e.links[:0], e.path)
 	e.refs.Store(1)
 	sh.byKey[string(key)] = e
-	sh.live++
+	sh.live.Add(1)
 	sh.dirty++
 	sh.publishLocked(false)
-	p.live.Add(1)
 	return PathHandle{e}
 }
 
 // Retain adds n references to the handle's entry (Clone bulk-retains
 // one per copied route). Lock-free: the caller already holds a
-// reference, so the entry cannot be freed concurrently.
+// reference, so the entry cannot be reclaimed concurrently.
 func (p *Pool) Retain(h PathHandle, n int) {
 	h.e.refs.Add(int32(n))
 }
 
-// Release drops one reference. When the last reference goes, the entry
-// is unindexed and its slot queued for reuse; the canonical path slice
-// is abandoned to the garbage collector so previously returned slices
-// stay intact.
+// Release drops one reference.
 func (p *Pool) Release(h PathHandle) { p.ReleaseN(h, 1) }
 
 // ReleaseN drops n references at once (Table.Release bulk-returns one
-// per dropped route). The decrement is lock-free; only a drop to zero
-// takes the shard lock to free the slot, and that free aborts if a
-// concurrent Intern revived the entry in the meantime.
+// per dropped route). When the last reference goes the entry enters
+// limbo (see Pool): it is queued for the sweep, lock-free, and stays
+// revivable until the sweep reaches it. Only the release that fills a
+// shard's young generation takes the lock, to age the queue.
 func (p *Pool) ReleaseN(h PathHandle, n int) {
 	e := h.e
 	r := e.refs.Add(int32(-n))
@@ -329,19 +422,47 @@ func (p *Pool) ReleaseN(h PathHandle, n int) {
 		panic("rib: path over-released")
 	}
 	sh := &p.shards[e.id&poolShardMask]
-	sh.mu.Lock()
-	if e.refs.Load() == 0 && !e.freed {
-		var stack [pathKeyStack]byte
-		delete(sh.byKey, string(appendPathKey(stack[:0], e.path)))
-		e.freed = true
-		e.path = nil
-		sh.free = append(sh.free, e)
-		sh.live--
-		sh.dirty++
-		sh.publishLocked(false)
-		p.live.Add(-1)
+	sh.live.Add(-1)
+	if !e.queued.CompareAndSwap(false, true) {
+		return // still queued from an earlier death
 	}
-	sh.mu.Unlock()
+	for {
+		head := sh.dead.Load()
+		e.nextDead = head
+		if sh.dead.CompareAndSwap(head, e) {
+			break
+		}
+	}
+	if sh.nDead.Add(1) > limboMax {
+		sh.mu.Lock()
+		if sh.nDead.Load() > limboMax { // else another release aged it first
+			for sh.oldHead < len(sh.old) {
+				sh.reclaimOldest()
+			}
+			sh.promote()
+			sh.publishLocked(false)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Sweep reclaims every path currently in limbo and returns how many.
+// The pool never needs it — limbo is bounded — but a caller about to
+// measure memory, or a test pinning the reclamation contract, can ask.
+func (p *Pool) Sweep() int {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for freed, ok := sh.reclaimOldest(); ok; freed, ok = sh.reclaimOldest() {
+			if freed {
+				n++
+			}
+		}
+		sh.publishLocked(false)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // interiorLinks appends the deduplicated interior links of path:
@@ -427,10 +548,17 @@ func (p *Pool) LinkAt(id LinkID) topology.Link {
 	return snap[id]
 }
 
-// Len returns the number of live (referenced) paths — the leak-check
+// Len returns the number of referenced paths — the leak-check
 // observable: after every route referencing a path is withdrawn and
-// every tracker reset, Len returns to its baseline.
-func (p *Pool) Len() int { return int(p.live.Load()) }
+// every tracker reset, Len returns to its baseline, whatever still
+// waits in limbo.
+func (p *Pool) Len() int {
+	n := 0
+	for i := range p.shards {
+		n += int(p.shards[i].live.Load())
+	}
+	return n
+}
 
 // NumLinks returns how many distinct links the pool has numbered.
 // Links are never freed.
@@ -441,9 +569,12 @@ func (p *Pool) NumLinks() int {
 // PoolStats summarizes a pool's occupancy for memory accounting and
 // shard-balance inspection.
 type PoolStats struct {
-	// Paths is the live (referenced) path count.
+	// Paths is the referenced path count.
 	Paths int
-	// FreeSlots is how many freed entry slots await reuse.
+	// Limbo is how many unreferenced paths are still indexed, awaiting
+	// revival or the sweep.
+	Limbo int
+	// FreeSlots is how many reclaimed entry slots await reuse.
 	FreeSlots int
 	// Links is the numbered link count (never shrinks).
 	Links int
@@ -479,8 +610,9 @@ func (p *Pool) Stats() PoolStats {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		st.ShardPaths[i] = sh.live
-		st.Paths += sh.live
+		st.ShardPaths[i] = int(sh.live.Load())
+		st.Paths += st.ShardPaths[i]
+		st.Limbo += len(sh.byKey) - st.ShardPaths[i]
 		st.FreeSlots += len(sh.free)
 		sh.mu.Unlock()
 	}

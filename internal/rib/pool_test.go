@@ -2,6 +2,7 @@ package rib
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -83,9 +84,17 @@ func TestPoolRefcountLifecycle(t *testing.T) {
 	if got := pool.Len(); got != 0 {
 		t.Fatalf("pool.Len() = %d after withdrawing everything, want 0", got)
 	}
+	// Unreferenced paths wait in limbo, still indexed, until a sweep
+	// reclaims their slots.
+	if st := pool.Stats(); st.Paths != 0 || st.Limbo != 2 || st.FreeSlots != 0 {
+		t.Errorf("after release: %d paths, %d in limbo, %d free slots; want 0, 2, 0", st.Paths, st.Limbo, st.FreeSlots)
+	}
+	if n := pool.Sweep(); n != 2 {
+		t.Errorf("Sweep reclaimed %d paths, want 2", n)
+	}
 	st := pool.Stats()
-	if st.FreeSlots != 2 {
-		t.Errorf("free slots = %d, want 2", st.FreeSlots)
+	if st.Paths != 0 || st.Limbo != 0 || st.FreeSlots != 2 {
+		t.Errorf("after sweep: %d paths, %d in limbo, %d free slots; want 0, 0, 2", st.Paths, st.Limbo, st.FreeSlots)
 	}
 	// Links are never freed.
 	if st.Links == 0 {
@@ -356,5 +365,255 @@ func TestPoolStatsShardBalance(t *testing.T) {
 	}
 	if pool.Len() != 0 {
 		t.Fatal("pool must drain")
+	}
+}
+
+// TestLimboRevivesSameEntry is the flap contract: a path released to
+// zero and interned again comes back under the same PathID, with the
+// same canonical slice, whatever else happened in between short of a
+// sweep.
+func TestLimboRevivesSameEntry(t *testing.T) {
+	pool := NewPool()
+	path := []uint32{2, 5, 6, 8}
+	h := pool.Intern(path)
+	id, canon := h.ID(), h.Path()
+	pool.Release(h)
+	if pool.Len() != 0 {
+		t.Fatalf("Len() = %d with the only reference released", pool.Len())
+	}
+	other := pool.Intern([]uint32{2, 5, 6, 9}) // a new path, possibly in the same shard
+	h = pool.Intern(path)
+	if h.ID() != id || &h.Path()[0] != &canon[0] {
+		t.Errorf("revived as id %d (was %d), same canonical slice: %v", h.ID(), id, &h.Path()[0] == &canon[0])
+	}
+	if pool.Len() != 2 {
+		t.Errorf("Len() = %d, want 2", pool.Len())
+	}
+	pool.Release(h)
+	pool.Release(other)
+	if pool.Sweep() != 2 || pool.Len() != 0 {
+		t.Errorf("after sweep: Len() = %d, stats %+v", pool.Len(), pool.Stats())
+	}
+	// After the sweep the path is new again: its old canonical slice is
+	// abandoned, not overwritten.
+	h = pool.Intern(path)
+	if &h.Path()[0] == &canon[0] {
+		t.Error("a swept path was re-interned into its old slice")
+	}
+	if canon[3] != 8 {
+		t.Errorf("old canonical slice overwritten: %v", canon)
+	}
+	pool.Release(h)
+}
+
+// TestInternReleaseCycleAllocs: once the pool knows a path, dropping
+// its last reference and taking it again costs nothing.
+func TestInternReleaseCycleAllocs(t *testing.T) {
+	pool := NewPool()
+	path := []uint32{2, 5, 6, 8}
+	pool.Release(pool.Intern(path)) // warm: the entry exists and is published
+	allocs := testing.AllocsPerRun(10_000, func() {
+		pool.Release(pool.Intern(path))
+	})
+	if allocs != 0 {
+		t.Errorf("intern→release of a known path allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestAnnounceFlapAllocs: one prefix alternating between two paths that
+// carry nothing else — each announce drops one path's last reference
+// and revives the other's — allocates nothing once warm.
+func TestAnnounceFlapAllocs(t *testing.T) {
+	tb := New(1)
+	p := netaddr.PrefixFor(8, 0)
+	a, b := []uint32{2, 5, 6}, []uint32{3, 7, 6}
+	tb.Announce(p, a)
+	tb.Announce(p, b)
+	tb.Announce(p, a)
+	allocs := testing.AllocsPerRun(5_000, func() {
+		tb.Announce(p, b)
+		tb.Announce(p, a)
+	})
+	if allocs != 0 {
+		t.Errorf("flapping one prefix between two paths allocates %v objects per cycle, want 0", allocs)
+	}
+	if tb.Pool().Len() != 1 {
+		t.Errorf("Len() = %d, want 1", tb.Pool().Len())
+	}
+}
+
+// TestLimboBoundedAndSlotsRecycled releases far more paths than a
+// shard's limbo holds: the aging sweep must keep limbo bounded, and a
+// second wave of new paths must recycle dead slots instead of minting
+// ids past the first wave's peak.
+func TestLimboBoundedAndSlotsRecycled(t *testing.T) {
+	pool := NewPool()
+	const wave = 3 * limboMax * poolShards
+	var maxID PathID
+	held := make([]PathHandle, 0, wave)
+	for i := 0; i < wave; i++ {
+		h := pool.Intern([]uint32{2, 5, uint32(1_000_000 + i)})
+		maxID = max(maxID, h.ID())
+		held = append(held, h)
+	}
+	for _, h := range held {
+		pool.Release(h)
+	}
+	st := pool.Stats()
+	if st.Paths != 0 || st.Limbo > 2*(limboMax+1)*poolShards {
+		t.Fatalf("after releasing %d paths: %d referenced, %d in limbo (bound %d)", wave, st.Paths, st.Limbo, 2*(limboMax+1)*poolShards)
+	}
+	if st.Limbo+st.FreeSlots != wave {
+		t.Fatalf("%d in limbo + %d free slots != %d entries ever created", st.Limbo, st.FreeSlots, wave)
+	}
+	for i := 0; i < wave; i++ {
+		h := pool.Intern([]uint32{3, 9, uint32(2_000_000 + i)})
+		if h.ID() > maxID {
+			t.Fatalf("new path %d minted id %d past the first wave's peak %d while dead slots were available", i, h.ID(), maxID)
+		}
+		pool.Release(h)
+	}
+}
+
+// TestPoolStressWithSweeper is the concurrency contract: goroutines
+// intern and release a small set of overlapping paths — so entries die
+// and revive constantly — while another sweeps without pause. No handle
+// may ever show another path's content (a slot reclaimed under a live
+// reference), nothing may be over-released, and the referenced count
+// must return to its baseline.
+func TestPoolStressWithSweeper(t *testing.T) {
+	pool := NewPool()
+	const (
+		workers = 8
+		ops     = 1_000_000 / workers
+	)
+	paths := make([][]uint32, 64)
+	for i := range paths {
+		paths[i] = []uint32{uint32(2 + i%4), uint32(100 + i), uint32(200 + i/2)}
+	}
+	baseline := pool.Intern([]uint32{7, 7, 7})
+	stop := make(chan struct{})
+	swept := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				swept <- n
+				return
+			default:
+				n += pool.Sweep()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			type holding struct {
+				h    PathHandle
+				path []uint32
+			}
+			var held []holding
+			for i := 0; i < ops; i++ {
+				path := paths[rng.Intn(len(paths))]
+				h := pool.Intern(path)
+				if !pathsEqual(h.Path(), path) {
+					t.Errorf("interned %v, handle reads %v", path, h.Path())
+					return
+				}
+				if rng.Intn(4) == 0 {
+					held = append(held, holding{h, path})
+				} else {
+					pool.Release(h)
+				}
+				if len(held) > 8 {
+					old := held[0]
+					held = held[1:]
+					if !pathsEqual(old.h.Path(), old.path) {
+						t.Errorf("handle held on %v reads %v", old.path, old.h.Path())
+						return
+					}
+					pool.Release(old.h)
+				}
+			}
+			for _, old := range held {
+				pool.Release(old.h)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("sweeper reclaimed %d entries during the run", <-swept)
+	if n := pool.Len(); n != 1 {
+		t.Fatalf("Len() = %d after the churn, want the 1 baseline path", n)
+	}
+	pool.Sweep()
+	if st := pool.Stats(); st.Paths != 1 || st.Limbo != 0 {
+		t.Fatalf("after a final sweep: %+v", st)
+	}
+	pool.Release(baseline)
+}
+
+// TestExportIgnoresLimbo: limbo entries are not part of a pool image, so
+// Export → Restore → Export is the identity with or without them, and a
+// restore window's PruneUnreferenced leaves ordinary limbo entries to
+// the sweep.
+func TestExportIgnoresLimbo(t *testing.T) {
+	pool := NewPool()
+	tb := NewWithPool(1, pool)
+	for i := 0; i < 40; i++ {
+		tb.Announce(netaddr.PrefixFor(8, i), []uint32{2, 5, uint32(100 + i%10)})
+	}
+	before := pool.Export()
+	// Ten paths die and stay in limbo; ten others are referenced.
+	for i := 0; i < 40; i++ {
+		tb.Announce(netaddr.PrefixFor(8, i), []uint32{3, 6, uint32(200 + i%10)})
+	}
+	if st := pool.Stats(); st.Paths != 10 || st.Limbo != 10 {
+		t.Fatalf("stats %+v, want 10 referenced and 10 in limbo", st)
+	}
+	img := pool.Export()
+	if len(img.Paths) != 10 {
+		t.Fatalf("image lists %d paths, want the 10 referenced ones", len(img.Paths))
+	}
+	for _, pi := range img.Paths {
+		if pi.Path[0] != 3 {
+			t.Fatalf("image lists limbo path %v", pi.Path)
+		}
+	}
+	if len(before.Paths) != 10 || before.Paths[0].Path[0] != 2 {
+		t.Fatalf("first image: %+v", before.Paths)
+	}
+
+	restored := NewPool()
+	if err := restored.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewWithPool(1, restored)
+	if err := rt.RestoreRoutes(tb.Export()); err != nil {
+		t.Fatal(err)
+	}
+	// A path that dies inside the restore window is ordinary limbo:
+	// pruning must not touch it (its slot is still queued for the sweep).
+	h := restored.Intern([]uint32{9, 9, 9})
+	restored.Release(h)
+	if pruned := restored.PruneUnreferenced(); pruned != 0 {
+		t.Errorf("pruned %d entries although every restored path is referenced", pruned)
+	}
+	if st := restored.Stats(); st.Paths != 10 || st.Limbo != 1 {
+		t.Errorf("restored pool: %+v, want 10 referenced and 1 in limbo", st)
+	}
+	if again := restored.Export(); !reflect.DeepEqual(again, img) {
+		t.Errorf("Export → Restore → Export is not the identity:\n%+v\n%+v", again, img)
+	}
+	// Restore needs a never-used pool; one holding nothing but a limbo
+	// entry (no referenced path, no link) is not that.
+	used := NewPool()
+	used.Release(used.Intern([]uint32{5}))
+	if err := used.Restore(img); err == nil {
+		t.Error("Restore into a pool holding a limbo entry was accepted")
 	}
 }

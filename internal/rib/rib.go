@@ -9,6 +9,17 @@
 // materialized on demand — group by path, test the handful of inferred
 // links against each unique path once, expand the matching groups —
 // instead of being maintained for every link on every update.
+//
+// Reclamation contract. Pool.Len, Pool.Stats().Paths and Pool.Export
+// count and list referenced paths only; a path whose last reference is
+// released leaves them at once. Its entry, however, stays indexed under
+// the same PathID ("limbo") so that a route flapping between two paths
+// re-interns nothing, and its slot is reused only after the sweep has
+// reclaimed it: when a new path needs a slot (dead slots are recycled
+// oldest first before a fresh id is minted) or when a shard ages its
+// limbo queue (every limboMax deaths), or on an explicit Pool.Sweep.
+// Slices obtained from the pool (Table.Path, Table.Withdraw) are never
+// overwritten, before or after the sweep.
 package rib
 
 import (

@@ -28,14 +28,14 @@ type PathImage struct {
 }
 
 // PoolImage is the interned state of a Pool: the append-only link
-// numbering (Links[0] is the reserved zero link) and every live path
-// with its dense id, ascending.
+// numbering (Links[0] is the reserved zero link) and every referenced
+// path with its dense id, ascending. Paths in limbo are not part of it.
 type PoolImage struct {
 	Links []topology.Link
 	Paths []PathImage
 }
 
-// Export captures the pool's live paths and link numbering. Shards are
+// Export captures the pool's referenced paths and link numbering. Shards are
 // locked one at a time; callers wanting a consistent cut must quiesce
 // writers first (the fleet snapshot path holds every peer lock).
 func (p *Pool) Export() PoolImage {
@@ -45,7 +45,9 @@ func (p *Pool) Export() PoolImage {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.byKey {
-			img.Paths = append(img.Paths, PathImage{ID: e.id, Path: append([]uint32(nil), e.path...)})
+			if e.refs.Load() > 0 {
+				img.Paths = append(img.Paths, PathImage{ID: e.id, Path: append([]uint32(nil), e.path...)})
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -53,15 +55,16 @@ func (p *Pool) Export() PoolImage {
 	return img
 }
 
-// Restore rebuilds an empty pool from img, placing every path at its
-// original dense id with a zero refcount and numbering links in their
-// original order. Tables restored afterwards look entries up through
-// the transient restore index and take their references; a final
+// Restore rebuilds a never-used pool from img, placing every path at its
+// original dense id, unreferenced, and numbering links in their original
+// order. Tables restored afterwards look entries up through the
+// transient restore index and take their references; a final
 // PruneUnreferenced drops whatever no table claimed and closes the
 // restore window.
 func (p *Pool) Restore(img PoolImage) error {
-	if p.Len() != 0 || p.NumLinks() != 0 {
-		return fmt.Errorf("rib: restore into non-empty pool (%d paths, %d links)", p.Len(), p.NumLinks())
+	if st := p.Stats(); st.Paths+st.Limbo+st.FreeSlots+st.Links != 0 {
+		return fmt.Errorf("rib: restore into a used pool (%d paths, %d in limbo, %d free slots, %d links)",
+			st.Paths, st.Limbo, st.FreeSlots, st.Links)
 	}
 	if len(img.Links) > 0 && img.Links[0] != (topology.Link{}) {
 		return fmt.Errorf("rib: restore: link 0 is not the reserved zero link")
@@ -99,13 +102,11 @@ func (p *Pool) Restore(img PoolImage) error {
 		e.hash = fnv64(key)
 		e.links = p.interiorLinks(nil, e.path)
 		sh.byKey[string(key)] = e
-		sh.live++
 		sh.dirty++
 		if slot := uint32(pi.ID) >> poolShardBits; slot >= sh.next {
 			sh.next = slot + 1
 		}
 		sh.mu.Unlock()
-		p.live.Add(1)
 		p.restoreIdx[pi.ID] = e
 	}
 	for i := range p.shards {
@@ -117,34 +118,37 @@ func (p *Pool) Restore(img PoolImage) error {
 	return nil
 }
 
-// restoredEntry resolves a dense id through the restore index — only
-// valid between Restore and PruneUnreferenced.
-func (p *Pool) restoredEntry(id PathID) (*pathEntry, bool) {
+// claimRestored resolves a dense id through the restore index and takes
+// one reference on the entry — only valid between Restore and
+// PruneUnreferenced.
+func (p *Pool) claimRestored(id PathID) (*pathEntry, bool) {
 	e, ok := p.restoreIdx[id]
+	if ok && e.refs.Add(1) == 1 {
+		p.shards[id&poolShardMask].live.Add(1)
+	}
 	return e, ok
 }
 
 // PruneUnreferenced ends a restore window: every restored entry no
-// table claimed a reference on is freed (its slot queued for reuse),
-// and the restore index is dropped. Returns the number pruned.
+// table claimed a reference on is reclaimed (its slot queued for reuse),
+// and the restore index is dropped. Returns the number pruned. Restored
+// entries were never queued for the sweep, so this is the one place
+// that frees them; ordinary limbo entries are not its business.
 func (p *Pool) PruneUnreferenced() int {
-	p.restoreIdx = nil
 	n := 0
+	for _, e := range p.restoreIdx {
+		sh := &p.shards[e.id&poolShardMask]
+		sh.mu.Lock()
+		if e.refs.CompareAndSwap(0, reclaimed) {
+			sh.unindex(e)
+			n++
+		}
+		sh.mu.Unlock()
+	}
+	p.restoreIdx = nil
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for k, e := range sh.byKey {
-			if e.refs.Load() == 0 && !e.freed {
-				delete(sh.byKey, k)
-				e.freed = true
-				e.path = nil
-				sh.free = append(sh.free, e)
-				sh.live--
-				sh.dirty++
-				p.live.Add(-1)
-				n++
-			}
-		}
 		sh.publishLocked(true)
 		sh.mu.Unlock()
 	}
@@ -198,14 +202,13 @@ func (t *Table) RestoreRoutes(img TableImage) error {
 	defer func() { t.onLinkChange = saved }()
 	t.routes.Reserve(len(img.Routes))
 	for _, r := range img.Routes {
-		e, ok := t.pool.restoredEntry(r.Path)
-		if !ok {
-			return fmt.Errorf("rib: restore: route %v names unknown path id %d", r.Prefix, r.Path)
-		}
 		if _, dup := t.routes.Get(r.Prefix); dup {
 			return fmt.Errorf("rib: restore: duplicate route for prefix %v", r.Prefix)
 		}
-		e.refs.Add(1)
+		e, ok := t.pool.claimRestored(r.Path)
+		if !ok {
+			return fmt.Errorf("rib: restore: route %v names unknown path id %d", r.Prefix, r.Path)
+		}
 		t.addRoute(r.Prefix, e)
 	}
 	return nil
