@@ -59,14 +59,18 @@ func (s *BurstSource) spacing() time.Duration {
 }
 
 // Run pushes every burst's withdrawals and announcements into sink as
-// ordered event batches. With Peers set, bursts replay concurrently in
-// waves across the peers (see Peers).
+// ordered event batches. Bursts replay round-robin across Peers, or
+// Peer alone when Peers is empty: every wave of one burst per peer
+// shares one base offset, and the wave's per-peer streams are k-way
+// merged by timestamp (ties broken by peer position). With one peer
+// every wave is a single burst, so bursts replay serially.
 func (s *BurstSource) Run(sink event.Sink) error {
 	if len(s.Bursts) == 0 {
 		return errors.New("bgpsim: BurstSource has no bursts")
 	}
-	if len(s.Peers) > 0 {
-		return s.runMultiPeer(sink)
+	peers := s.Peers
+	if len(peers) == 0 {
+		peers = []event.PeerKey{s.Peer}
 	}
 	s.Events = 0
 	batch := make(event.Batch, 0, s.batchEvents())
@@ -79,62 +83,13 @@ func (s *BurstSource) Run(sink event.Sink) error {
 		return sink.Apply(b)
 	}
 	var base, last time.Duration
-	for i, b := range s.Bursts {
-		if i > 0 {
-			base = last + s.spacing()
-		}
-		for _, ev := range b.Events {
-			at := base + ev.At
-			if ev.Kind == KindWithdraw {
-				batch = append(batch, event.Withdraw(at, ev.Prefix).WithPeer(s.Peer))
-			} else {
-				batch = append(batch, event.Announce(at, ev.Prefix, ev.Path).WithPeer(s.Peer))
-			}
-			s.Events++
-			last = at
-			if len(batch) >= s.batchEvents() {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	tick := s.FinalTick
-	if tick == 0 {
-		tick = time.Minute
-	}
-	if tick > 0 {
-		return sink.Apply(event.Batch{event.Tick(last + tick).WithPeer(s.Peer)})
-	}
-	return nil
-}
-
-// runMultiPeer replays bursts round-robin across s.Peers: every wave of
-// len(Peers) bursts shares one base offset, and the wave's per-peer
-// streams are k-way merged by timestamp (ties broken by peer position)
-// into mixed-peer batches.
-func (s *BurstSource) runMultiPeer(sink event.Sink) error {
-	s.Events = 0
-	batch := make(event.Batch, 0, s.batchEvents())
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		b := batch
-		batch = make(event.Batch, 0, cap(b))
-		return sink.Apply(b)
-	}
-	var base, last time.Duration
-	for wave := 0; wave*len(s.Peers) < len(s.Bursts); wave++ {
+	for wave := 0; wave*len(peers) < len(s.Bursts); wave++ {
 		if wave > 0 {
 			base = last + s.spacing()
 		}
-		bursts := s.Bursts[wave*len(s.Peers):]
-		if len(bursts) > len(s.Peers) {
-			bursts = bursts[:len(s.Peers)]
+		bursts := s.Bursts[wave*len(peers):]
+		if len(bursts) > len(peers) {
+			bursts = bursts[:len(peers)]
 		}
 		// K-way merge of the wave's streams by event timestamp.
 		idx := make([]int, len(bursts))
@@ -154,7 +109,7 @@ func (s *BurstSource) runMultiPeer(sink event.Sink) error {
 			}
 			ev := bursts[pick].Events[idx[pick]]
 			idx[pick]++
-			peer := s.Peers[pick]
+			peer := peers[pick]
 			if ev.Kind == KindWithdraw {
 				batch = append(batch, event.Withdraw(at, ev.Prefix).WithPeer(peer))
 			} else {
@@ -179,8 +134,8 @@ func (s *BurstSource) runMultiPeer(sink event.Sink) error {
 		tick = time.Minute
 	}
 	if tick > 0 {
-		final := make(event.Batch, 0, len(s.Peers))
-		for _, peer := range s.Peers {
+		final := make(event.Batch, 0, len(peers))
+		for _, peer := range peers {
 			final = append(final, event.Tick(last+tick).WithPeer(peer))
 		}
 		return sink.Apply(final)

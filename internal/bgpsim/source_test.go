@@ -137,11 +137,18 @@ func TestBurstSourceMultiPeerWaves(t *testing.T) {
 // must (1) preserve every peer's relative event order exactly, (2)
 // never move the stream clock backwards, (3) conserve the event count,
 // and (4) break cross-peer timestamp ties by peer position, so the
-// merge is a pure function of the inputs.
+// merge is a pure function of the inputs. Every peer also gets exactly
+// one closing tick, after its last event. The trials from 64 on replay
+// one burst through Peer alone (Peers empty), the single-session
+// configuration, which must satisfy the same properties.
 func TestBurstSourceMultiPeerOrderProperty(t *testing.T) {
-	for trial := 0; trial < 64; trial++ {
+	for trial := 0; trial < 96; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
+		single := trial >= 64
 		nPeers := 2 + rng.Intn(4)
+		if single {
+			nPeers = 1
+		}
 		peers := make([]event.PeerKey, nPeers)
 		bursts := make([]*Burst, nPeers)
 		for i := range peers {
@@ -164,6 +171,9 @@ func TestBurstSourceMultiPeerOrderProperty(t *testing.T) {
 			bursts[i] = b
 		}
 		src := &BurstSource{Bursts: bursts, Peers: peers, BatchEvents: 1 + rng.Intn(16)}
+		if single {
+			src.Peer, src.Peers = peers[0], nil
+		}
 		var sink recordSink
 		if err := src.Run(&sink); err != nil {
 			t.Fatal(err)
@@ -182,16 +192,21 @@ func TestBurstSourceMultiPeerOrderProperty(t *testing.T) {
 			peerIdx[p] = i
 		}
 		next := make([]int, nPeers)
+		ticks := make([]int, nPeers)
 		lastAt := time.Duration(-1)
 		lastPick := -1
 		total := 0
 		for _, ev := range sink.events {
-			if ev.Kind == event.KindTick {
-				continue
-			}
 			i, ok := peerIdx[ev.Peer]
 			if !ok {
 				t.Fatalf("trial %d: event attributed to unknown peer %v", trial, ev.Peer)
+			}
+			if ev.Kind == event.KindTick {
+				if next[i] != len(bursts[i].Events) || ev.At <= lastAt {
+					t.Fatalf("trial %d: peer %d closing tick at %v before its last event", trial, i, ev.At)
+				}
+				ticks[i]++
+				continue
 			}
 			if ev.At < lastAt {
 				t.Fatalf("trial %d: stream clock moved backwards: %v after %v", trial, ev.At, lastAt)
@@ -215,6 +230,9 @@ func TestBurstSourceMultiPeerOrderProperty(t *testing.T) {
 		for i := range bursts {
 			if next[i] != len(bursts[i].Events) {
 				t.Fatalf("trial %d: peer %d delivered %d of %d events", trial, i, next[i], len(bursts[i].Events))
+			}
+			if ticks[i] != 1 {
+				t.Fatalf("trial %d: peer %d got %d closing ticks, want 1", trial, i, ticks[i])
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"swift/internal/bgp"
 	"swift/internal/bgpsim"
 	"swift/internal/controller"
+	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/mrt"
 	"swift/internal/netaddr"
@@ -105,7 +106,7 @@ func traceToMRT(t *testing.T, ds *trace.Dataset, s trace.Session, bursts []*bgps
 // TestMRTReplayMatchesDirect is the transport-equivalence test: a
 // TABLE_DUMP_V2 snapshot plus a BGP4MP update archive replayed through
 // the BMP Station path must leave the per-peer engine with exactly the
-// decisions the direct Observe* path produces from the same bytes.
+// decisions direct one-event Apply calls produce from the same bytes.
 func TestMRTReplayMatchesDirect(t *testing.T) {
 	ds := trace.Generate(trace.Config{
 		NumASes:           250,
@@ -137,8 +138,14 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 	epoch := time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 	ribMRT, updMRT := traceToMRT(t, ds, sess, bursts, epoch)
 
-	// Path 1: direct Observe* calls, exactly what the MRT bytes say.
+	// Path 1: direct one-event Apply calls, exactly what the MRT bytes
+	// say.
 	direct := swiftengine.New(replayEngineConfig(sess.Vantage, sess.Neighbor))
+	apply := func(ev event.Event) {
+		if err := direct.Apply(event.Batch{ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	r := mrt.NewReader(bytes.NewReader(ribMRT))
 	for {
 		rec, err := r.Next()
@@ -177,12 +184,12 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 		}
 		at := m.Timestamp.Sub(epoch)
 		for _, p := range dec.Withdrawn {
-			direct.ObserveWithdraw(at, p)
+			apply(event.Withdraw(at, p))
 		}
 		if len(dec.NLRI) > 0 {
 			path := append([]uint32(nil), dec.Attrs.ASPath...)
 			for _, p := range dec.NLRI {
-				direct.ObserveAnnounce(at, p, path)
+				apply(event.Announce(at, p, path))
 			}
 		}
 	}

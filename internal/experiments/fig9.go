@@ -60,12 +60,9 @@ func Fig9(prefixes int, seed int64) Fig9Result {
 	if err := e.Provision(); err != nil {
 		panic(err)
 	}
-	for _, ev := range b.Events {
-		if ev.Kind == bgpsim.KindWithdraw {
-			e.ObserveWithdraw(ev.At, ev.Prefix)
-		} else {
-			e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-		}
+	src := &bgpsim.BurstSource{Bursts: []*bgpsim.Burst{b}, FinalTick: -1}
+	if err := src.Run(e); err != nil {
+		panic(err)
 	}
 
 	probes := router.SampleProbes(b, 100)

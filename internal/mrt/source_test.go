@@ -99,12 +99,12 @@ func materializeMRT(t *testing.T, ds *trace.Dataset, s trace.Session, bursts []*
 	return ribBuf.Bytes(), updBuf.Bytes()
 }
 
-// TestSourceMatchesLegacyShims is the redesign's semantic-equivalence
-// gate: replaying the same MRT archives through mrt.Source →
-// Engine.Apply and through the legacy per-message Observe* shims must
-// yield identical Decisions() — the event-stream API changes no paper
+// TestSourceBatchesMatchPerEventApply is the redesign's
+// semantic-equivalence gate: replaying the same MRT archives through
+// mrt.Source's batches and through one-event Apply calls must yield
+// identical Decisions() — the event-stream API changes no paper
 // semantics.
-func TestSourceMatchesLegacyShims(t *testing.T) {
+func TestSourceBatchesMatchPerEventApply(t *testing.T) {
 	ds := trace.Generate(trace.Config{
 		NumASes:           250,
 		AvgDegree:         7,
@@ -153,19 +153,24 @@ func TestSourceMatchesLegacyShims(t *testing.T) {
 		t.Fatalf("source replayed %d routes, %d events", src.Routes, src.Events)
 	}
 
-	// Path 2: the legacy per-message walk over the same bytes, through
-	// the deprecated Observe* shims.
-	legacy := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
+	// Path 2: a per-message walk over the same bytes, one event per
+	// Apply call.
+	perEvent := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
 	if err := mrt.WalkRIBIPv4(bytes.NewReader(ribMRT), func(rr *mrt.RIBRecord) error {
 		for _, e := range rr.Entries {
-			legacy.LearnPrimary(rr.Prefix, e.Attrs.ASPath)
+			perEvent.LearnPrimary(rr.Prefix, e.Attrs.ASPath)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Provision(); err != nil {
+	if err := perEvent.Provision(); err != nil {
 		t.Fatal(err)
+	}
+	apply := func(ev event.Event) {
+		if err := perEvent.Apply(event.Batch{ev}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := mrt.NewReader(bytes.NewReader(updMRT))
 	var dec bgp.UpdateDecoder
@@ -190,24 +195,24 @@ func TestSourceMatchesLegacyShims(t *testing.T) {
 		}
 		at := m.Timestamp.Sub(msgEpoch)
 		for _, p := range dec.Withdrawn {
-			legacy.ObserveWithdraw(at, p)
+			apply(event.Withdraw(at, p))
 		}
 		if len(dec.NLRI) > 0 {
 			path := append([]uint32(nil), dec.Attrs.ASPath...)
 			for _, p := range dec.NLRI {
-				legacy.ObserveAnnounce(at, p, path)
+				apply(event.Announce(at, p, path))
 			}
 		}
 		lastAt = at
 	}
-	legacy.Tick(lastAt + finalTick)
+	apply(event.Tick(lastAt + finalTick))
 
-	got, want := viaSource.Decisions(), legacy.Decisions()
+	got, want := viaSource.Decisions(), perEvent.Decisions()
 	if len(want) == 0 {
-		t.Fatalf("legacy path made no decisions (burst sizes %d); test is vacuous", bursts[0].Size)
+		t.Fatalf("per-event path made no decisions (burst sizes %d); test is vacuous", bursts[0].Size)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("source path made %d decisions, legacy path %d", len(got), len(want))
+		t.Fatalf("source path made %d decisions, per-event path %d", len(got), len(want))
 	}
 	for i := range want {
 		g, w := got[i], want[i]

@@ -88,12 +88,8 @@ func TestSwiftBeatsBGP(t *testing.T) {
 	if err := e.Provision(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range b.Events {
-		if ev.Kind == bgpsim.KindWithdraw {
-			e.ObserveWithdraw(ev.At, ev.Prefix)
-		} else {
-			e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-		}
+	if err := (&bgpsim.BurstSource{Bursts: []*bgpsim.Burst{b}, FinalTick: -1}).Run(e); err != nil {
+		t.Fatal(err)
 	}
 	if len(e.Decisions()) == 0 {
 		t.Fatal("no decisions")

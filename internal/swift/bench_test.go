@@ -70,12 +70,23 @@ func shiftBatch(b event.Batch, span time.Duration) {
 	}
 }
 
+// applyPerEvent delivers batch one event at a time through a reused
+// one-element batch — the per-message baseline batching amortizes.
+func applyPerEvent(tb testing.TB, e *Engine, batch event.Batch) {
+	var one [1]event.Event
+	for i := range batch {
+		one[0] = batch[i]
+		if err := e.Apply(one[:]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineApplyBatch compares the two delivery modes over the
 // same 10k-event burst cycle (detect → infer → reroute → reconverge →
-// fall back): one Apply call per batch versus the deprecated
-// per-message Observe* shims (each a one-event batch). Both make
-// identical decisions — the batched mode only amortizes the
-// per-delivery setup — so the gap is pure API overhead.
+// fall back): one Apply call per batch versus one Apply call per
+// event. Both make identical decisions — the batched mode only
+// amortizes the per-delivery setup — so the gap is pure API overhead.
 func BenchmarkEngineApplyBatch(b *testing.B) {
 	prefixes := make([]netaddr.Prefix, 4096)
 	for i := range prefixes {
@@ -93,19 +104,7 @@ func BenchmarkEngineApplyBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}},
-		{"shim", func(e *Engine, batch event.Batch) {
-			for i := range batch {
-				ev := &batch[i]
-				switch ev.Kind {
-				case event.KindWithdraw:
-					e.ObserveWithdraw(ev.At, ev.Prefix)
-				case event.KindAnnounce:
-					e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-				default:
-					e.Tick(ev.At)
-				}
-			}
-		}},
+		{"per-event", func(e *Engine, batch event.Batch) { applyPerEvent(b, e, batch) }},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -161,7 +160,7 @@ func BenchmarkEngineApplySteadyState(b *testing.B) {
 	for i, p := range prefixes {
 		batch = append(batch, event.Announce(time.Duration(i)*time.Microsecond, p, path))
 	}
-	for _, mode := range []string{"batched", "telemetry", "shim"} {
+	for _, mode := range []string{"batched", "telemetry", "per-event"} {
 		b.Run(mode, func(b *testing.B) {
 			eng := e
 			if mode == "telemetry" {
@@ -170,11 +169,8 @@ func BenchmarkEngineApplySteadyState(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode == "shim" {
-					for j := range batch {
-						ev := &batch[j]
-						eng.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-					}
+				if mode == "per-event" {
+					applyPerEvent(b, eng, batch)
 				} else {
 					if err := eng.Apply(batch); err != nil {
 						b.Fatal(err)

@@ -215,10 +215,6 @@ type Engine struct {
 	// triggerEvery caches cfg.Inference.TriggerEvery (always positive
 	// after withDefaults) off the per-withdrawal path.
 	triggerEvery int
-	// shim backs the deprecated Observe* wrappers with an allocation-
-	// free one-event batch. The engine is single-goroutine by contract,
-	// so reuse is safe.
-	shim [1]event.Event
 
 	lastWithdrawal time.Duration
 	lastTriggerAt  int // tracker count at the previous inference attempt
@@ -397,14 +393,13 @@ func (e *Engine) Deferred() int { return e.deferred }
 func (e *Engine) RerouteActive() bool { return e.rerouteActive }
 
 // Apply consumes one ordered batch of stream events — the engine's
-// only hot path; everything else funnels into it. Batching amortizes
-// the per-delivery setup (call overhead, config loads, the one-event
-// shim churn of the deprecated Observe* wrappers) across the batch, and
-// announce events of one UPDATE share a single path slice instead of
-// copying per prefix. Per-event semantics are exactly the paper's:
-// burst detection, adaptive triggers and fallback fire at the same
-// message they would under one-call-per-message delivery, so a batched
-// replay and a per-message replay make identical decisions.
+// only way in. Batching amortizes the per-delivery setup (call
+// overhead, config loads) across the batch, and announce events of one
+// UPDATE share a single path slice instead of copying per prefix.
+// Per-event semantics are exactly the paper's: burst detection,
+// adaptive triggers and fallback fire at the same message they would
+// under one-event batches, so a batched replay and a per-event replay
+// make identical decisions.
 //
 // The returned error reports burst-end re-provision failures; the
 // stream itself is always fully consumed. Engines are single-session
@@ -443,35 +438,6 @@ func (e *Engine) Apply(b event.Batch) error {
 		e.cfg.Metrics.Announcements.Add(ann)
 	}
 	return errors.Join(errs...)
-}
-
-// ObserveWithdraw feeds one withdrawal from the session at stream
-// offset at.
-//
-// Deprecated: deliver event.Batches through Apply. Per-call delivery
-// pays the batch setup on every message.
-func (e *Engine) ObserveWithdraw(at time.Duration, p netaddr.Prefix) {
-	e.shim[0] = event.Withdraw(at, p)
-	e.Apply(e.shim[:])
-}
-
-// ObserveAnnounce feeds one announcement from the session.
-//
-// Deprecated: deliver event.Batches through Apply. Per-call delivery
-// pays the batch setup on every message.
-func (e *Engine) ObserveAnnounce(at time.Duration, p netaddr.Prefix, path []uint32) {
-	e.shim[0] = event.Announce(at, p, path)
-	e.Apply(e.shim[:])
-}
-
-// Tick advances time without a message (timer-driven), closing bursts
-// whose window drained.
-//
-// Deprecated: deliver event.Batches through Apply. Per-call delivery
-// pays the batch setup on every message.
-func (e *Engine) Tick(at time.Duration) {
-	e.shim[0] = event.Tick(at)
-	e.Apply(e.shim[:])
 }
 
 // observeWithdraw processes one withdrawal event.

@@ -6,6 +6,7 @@ import (
 
 	"swift/internal/bgpsim"
 	"swift/internal/burst"
+	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/netaddr"
 	"swift/internal/topology"
@@ -55,15 +56,13 @@ func fig1Engine(t *testing.T, scale int, useHistory bool) (*Engine, *bgpsim.Netw
 	return e, net
 }
 
-func playBurst(e *Engine, b *bgpsim.Burst) {
-	for _, ev := range b.Events {
-		if ev.Kind == bgpsim.KindWithdraw {
-			e.ObserveWithdraw(ev.At, ev.Prefix)
-		} else {
-			e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-		}
+// playBurst replays b into e and closes it with a tick one minute past
+// its last event.
+func playBurst(t *testing.T, e *Engine, b *bgpsim.Burst) {
+	t.Helper()
+	if err := (&bgpsim.BurstSource{Bursts: []*bgpsim.Burst{b}}).Run(e); err != nil {
+		t.Fatal(err)
 	}
-	e.Tick(b.Duration() + time.Minute)
 }
 
 func TestEngineEndToEndFig1(t *testing.T) {
@@ -78,7 +77,7 @@ func TestEngineEndToEndFig1(t *testing.T) {
 		t.Fatalf("pre-failure forward = %d, %v; want 2", nh, ok)
 	}
 
-	playBurst(e, b)
+	playBurst(t, e, b)
 
 	if len(e.Decisions()) == 0 {
 		t.Fatal("no inference decision on an 1100-withdrawal burst")
@@ -129,13 +128,10 @@ func TestEngineReroutesDuringBurst(t *testing.T) {
 	// Feed most of the burst (enough for the inference to converge on
 	// the failed link — early triggers blame the adjacent, S8-heavy
 	// (6,8) first, as in §6.2.2), then inspect the FIB mid-flight.
-	cut := len(b.Events) * 95 / 100
-	for _, ev := range b.Events[:cut] {
-		if ev.Kind == bgpsim.KindWithdraw {
-			e.ObserveWithdraw(ev.At, ev.Prefix)
-		} else {
-			e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-		}
+	head := *b
+	head.Events = b.Events[:len(b.Events)*95/100]
+	if err := (&bgpsim.BurstSource{Bursts: []*bgpsim.Burst{&head}, FinalTick: -1}).Run(e); err != nil {
+		t.Fatal(err)
 	}
 	if !e.RerouteActive() {
 		t.Fatal("reroute should be active mid-burst")
@@ -170,7 +166,7 @@ func TestEngineLearningTimeAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	if len(e.Decisions()) == 0 {
 		t.Fatal("no decisions")
 	}
@@ -199,7 +195,7 @@ func TestEngineHistoryGateDefersEarlyLargePredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	if e.Deferred() == 0 {
 		t.Error("expected deferred inferences under the strict gate")
 	}
@@ -211,8 +207,12 @@ func TestEngineHistoryGateDefersEarlyLargePredictions(t *testing.T) {
 func TestEngineNoiseDoesNotTrigger(t *testing.T) {
 	e, _ := fig1Engine(t, 1000, false)
 	// Sparse background withdrawals (1 per minute) must never trigger.
+	var noise event.Batch
 	for i := 0; i < 50; i++ {
-		e.ObserveWithdraw(time.Duration(i)*time.Minute, netaddr.PrefixFor(8, i))
+		noise = append(noise, event.Withdraw(time.Duration(i)*time.Minute, netaddr.PrefixFor(8, i)))
+	}
+	if err := e.Apply(noise); err != nil {
+		t.Fatal(err)
 	}
 	if len(e.Decisions()) != 0 || e.RerouteActive() {
 		t.Error("background noise caused a reroute")
@@ -229,7 +229,7 @@ func TestEngineFallbackRestoresPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	// S7 converged onto the new path via 2; after fallback the FIB must
 	// follow BGP again (rules at reroute priority are gone).
 	if e.FIB().NumRules() == 0 {

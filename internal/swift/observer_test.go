@@ -57,7 +57,7 @@ func TestObserverBurstLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 
 	if len(starts) != 1 {
 		t.Fatalf("burst starts observed = %d, want 1", len(starts))
@@ -111,7 +111,7 @@ func TestDecisionsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	first := e.Decisions()
 	if len(first) == 0 {
 		t.Fatal("no decisions")
@@ -171,13 +171,13 @@ func TestConfigPerFieldInferenceDefaults(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesShims replays the same stream once as event batches
-// through Apply and once through the deprecated per-call shims: the
-// decisions must be identical — batching changes no paper semantics.
-func TestApplyMatchesShims(t *testing.T) {
+// TestBatchedApplyMatchesPerEvent replays the same stream once as one
+// batch and once as one-event batches: the decisions must be
+// identical — batching changes no paper semantics.
+func TestBatchedApplyMatchesPerEvent(t *testing.T) {
 	mk := func() (*Engine, *bgpsim.Network) { return fig1Engine(t, 1000, false) }
 	batched, net := mk()
-	perCall, _ := mk()
+	perEvent, _ := mk()
 
 	b, err := net.ReplayLinkFailure(1, 2, topology.MakeLink(5, 6), bgpsim.DefaultTiming(5))
 	if err != nil {
@@ -196,16 +196,20 @@ func TestApplyMatchesShims(t *testing.T) {
 	if err := batched.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	playBurst(perCall, b) // Observe* shims + Tick
+	for i := range batch {
+		if err := perEvent.Apply(batch[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	dg, dw := batched.Decisions(), perCall.Decisions()
+	dg, dw := batched.Decisions(), perEvent.Decisions()
 	if len(dg) == 0 || len(dg) != len(dw) {
-		t.Fatalf("batched made %d decisions, per-call %d", len(dg), len(dw))
+		t.Fatalf("batched made %d decisions, per-event %d", len(dg), len(dw))
 	}
 	for i := range dw {
 		g, w := dg[i], dw[i]
 		if g.At != w.At || g.RulesInstalled != w.RulesInstalled || len(g.Predicted) != len(w.Predicted) {
-			t.Errorf("decision %d: batched %+v vs per-call %+v", i, g, w)
+			t.Errorf("decision %d: batched %+v vs per-event %+v", i, g, w)
 		}
 		for j := range w.Result.Links {
 			if g.Result.Links[j] != w.Result.Links[j] {

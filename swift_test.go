@@ -40,8 +40,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 
 	// The (5,6) link fails: withdrawals stream in.
+	var batch swift.Batch
 	for i, p := range prefixes[:400] {
-		e.ObserveWithdraw(time.Duration(i)*time.Millisecond, p)
+		batch = append(batch, swift.WithdrawEvent(time.Duration(i)*time.Millisecond, p))
+	}
+	if err := e.Apply(batch); err != nil {
+		t.Fatal(err)
 	}
 	ds := e.Decisions()
 	if len(ds) == 0 {
