@@ -1,10 +1,11 @@
 // Command swiftd runs a SWIFT controller as a daemon (§7's deployment
-// scheme). It has two ingestion modes:
+// scheme). Both ingestion modes feed one engine fleet — a SWIFT engine
+// per session, under the same telemetry, ops plane and metric families
+// — and report every inference and reroute it performs.
 //
-// eBGP mode maintains one live session over TCP, feeds the primary
-// session's stream into a single SWIFT engine, and reports every
-// inference and reroute it performs. Listen for one passive session
-// (the protected router's primary peer dials in):
+// eBGP mode maintains one live session over TCP and runs it as a
+// one-peer fleet. Listen for one passive session (the protected
+// router's primary peer dials in):
 //
 //	swiftd -local-as 65001 -router-id 1.1.1.1 -listen :1790 -primary-as 65010
 //
@@ -13,26 +14,23 @@
 //	swiftd -local-as 65001 -router-id 1.1.1.1 -dial 192.0.2.1:179 -primary-as 65010
 //
 // BMP mode (RFC 7854) accepts monitored-router connections and runs
-// one SWIFT engine per monitored peer — the multi-session deployment
-// that watches every peer of the protected router at once:
+// one engine per monitored peer — the multi-session deployment that
+// watches every peer of the protected router at once:
 //
 //	swiftd -local-as 65001 -bmp-listen :11019
 //
-// Each peer's engine provisions from the in-band table dump the
-// router sends after Peer Up (End-of-RIB or the -settle quiet period
-// ends the dump).
-//
-// In eBGP mode the initial table is learned from the peer's opening
-// announcement flood; alternates can be preloaded from a TABLE_DUMP_V2
-// MRT snapshot with -alternates-rib (in BMP mode the snapshot is
-// loaded into every monitored peer's engine).
+// Each peer's engine provisions from its initial table: the in-band
+// dump a BMP router sends after Peer Up, or the eBGP peer's opening
+// announcement flood. End-of-RIB or the -settle quiet period ends it.
+// Alternates can be preloaded from a TABLE_DUMP_V2 MRT snapshot with
+// -alternates-rib; the snapshot is loaded into every peer's engine.
 //
 // Either mode exposes an ops HTTP plane with -http (e.g. -http :8080):
 // GET /metrics serves Prometheus text exposition, /healthz liveness,
 // /peers per-peer status JSON, /bursts the burst trace ring, and
-// /debug/pprof/ the Go profiler. -metrics-interval controls the
-// periodic stats log line (0 disables it) and -log-level filters the
-// daemon log (debug, info, warn, error).
+// /debug/pprof/ the Go profiler. Peers are labelled AS<asn>/<bgpid>.
+// -metrics-interval controls the periodic stats log line (0 disables
+// it) and -log-level filters the daemon log (debug, info, warn, error).
 //
 // In BMP mode -snapshot-dir enables warm restarts: the fleet is
 // checkpointed to <dir>/fleet.snap on SIGUSR1, on POST /snapshot and on
@@ -40,9 +38,9 @@
 // provisioned engine from it instead of waiting for routers to re-dump
 // their tables. /healthz reports whether the start was warm or cold.
 //
-// SIGINT/SIGTERM shut either mode down cleanly: sessions close with a
-// CEASE notification, the BMP station drains its engine fleet, and the
-// final status is printed before exit.
+// SIGINT/SIGTERM shut either mode down cleanly: the eBGP session closes
+// with a CEASE notification or the BMP station closes its connections,
+// the fleet drains, and the final status is printed before exit.
 package main
 
 import (
@@ -56,14 +54,12 @@ import (
 	"syscall"
 	"time"
 
-	"swift/internal/bgp"
 	"swift/internal/bgpd"
 	"swift/internal/bmp"
 	"swift/internal/controller"
 	"swift/internal/fusion"
 	"swift/internal/inference"
 	"swift/internal/mrt"
-	"swift/internal/netaddr"
 	swiftengine "swift/internal/swift"
 	"swift/internal/telemetry"
 	"swift/internal/telemetry/logging"
@@ -77,7 +73,7 @@ func main() {
 		listen     = flag.String("listen", "", "listen address for a passive eBGP session (e.g. :1790)")
 		dial       = flag.String("dial", "", "peer address to dial an eBGP session actively")
 		bmpListen  = flag.String("bmp-listen", "", "listen address for BMP monitored routers (e.g. :11019)")
-		primaryAS  = flag.Uint("primary-as", 0, "expected peer AS (0 = accept any; eBGP mode)")
+		primaryAS  = flag.Uint("primary-as", 0, "eBGP mode: exit unless the session's peer AS is this one (0 = accept any; the engine's primary neighbor is always the peer's AS)")
 		altRIB     = flag.String("alternates-rib", "", "MRT TABLE_DUMP_V2 file with alternate routes")
 		altAS      = flag.Uint("alternate-as", 0, "neighbor AS owning the alternate routes")
 		settle     = flag.Duration("settle", 3*time.Second, "quiet period ending a table transfer")
@@ -140,6 +136,7 @@ func main() {
 		ring:     telemetry.NewBurstRing(*ringSize),
 		httpAddr: *httpAddr,
 		interval: *metricsInt,
+		snapDir:  *snapDir,
 	}
 	if *fused {
 		if *bmpListen == "" {
@@ -147,13 +144,13 @@ func main() {
 		}
 		d.fusion = &fusion.Config{K: *fusionK, FuseThreshold: *fusionThr}
 	}
+	fleet, restoreStatus := d.newFleet(uint32(*localAS), alternates, uint32(*altAS))
 	if *bmpListen != "" {
-		d.snapDir = *snapDir
-		d.runBMP(*bmpListen, uint32(*localAS), *settle, alternates, uint32(*altAS), sigs)
+		d.runBMP(*bmpListen, *settle, fleet, restoreStatus, sigs)
 		return
 	}
 	d.runBGP(*listen, *dial, uint32(*localAS), parseID(logger, *routerID), uint32(*primaryAS),
-		*settle, alternates, uint32(*altAS), sigs)
+		*settle, fleet, sigs)
 }
 
 // daemon carries the telemetry spine shared by both ingestion modes.
@@ -197,23 +194,22 @@ func (d *daemon) metricsC() (<-chan time.Time, func()) {
 	return t.C, t.Stop
 }
 
-// runBMP serves a BMP station over an instrumented engine fleet until a
-// signal. The fleet's Observer hooks push every burst, decision and
-// fallback straight into the daemon log as they happen — no decision
-// polling, no log scraping — while the telemetry registry and trace
-// ring feed the ops plane.
-func (d *daemon) runBMP(addr string, localAS uint32, settle time.Duration, alternates []mrt.RIBRecord, altAS uint32, sigs <-chan os.Signal) {
+// snapPath is the warm-restart snapshot inside -snapshot-dir.
+func (d *daemon) snapPath() string { return filepath.Join(d.snapDir, "fleet.snap") }
+
+// newFleet builds the instrumented engine fleet both modes feed: the
+// Observer hooks push every burst, decision and fallback into the log,
+// and every new peer is preloaded with the alternates. With
+// -snapshot-dir a snapshot restores the provisioned fleet; any failure
+// falls back to a cold start. The second result is the /healthz line.
+func (d *daemon) newFleet(localAS uint32, alternates []mrt.RIBRecord, altAS uint32) (*controller.Fleet, string) {
 	logger := d.logger
 	ft := controller.NewFleetTelemetry(d.registry, d.ring)
-	fleetCfg := ft.Instrument(controller.FleetConfig{
+	cfg := ft.Instrument(controller.FleetConfig{
 		Fusion: d.fusion,
-		Engine: func(key controller.PeerKey) swiftengine.Config {
-			cfg := swiftengine.Config{
-				LocalAS:         localAS,
-				PrimaryNeighbor: key.AS,
-			}
-			cfg.Inference = inference.Default()
-			return cfg
+		// PrimaryNeighbor stays zero: the fleet makes it each peer's AS.
+		Engine: func(controller.PeerKey) swiftengine.Config {
+			return swiftengine.Config{LocalAS: localAS, Inference: inference.Default()}
 		},
 		Observer: controller.LoggingFleetObserver(logger.Infof),
 		OnPeer: func(p *controller.FleetPeer) {
@@ -226,66 +222,66 @@ func (d *daemon) runBMP(addr string, localAS uint32, settle time.Duration, alter
 		Logf: logger.Debugf,
 	})
 
-	// Warm restart: a snapshot in -snapshot-dir restores the whole
-	// provisioned fleet before the listener opens; any failure falls
-	// back to a cold start (monitored routers re-dump on reconnect).
-	var fleet *controller.Fleet
-	restoreStatus := "restore: cold start (no snapshot)"
-	snapPath := filepath.Join(d.snapDir, "fleet.snap")
-	if d.snapDir != "" {
-		if file, err := os.Open(snapPath); err == nil {
-			start := time.Now()
-			restored, rerr := controller.RestoreFleet(file, fleetCfg)
-			file.Close()
-			if rerr != nil {
-				logger.Warnf("snapshot restore from %s failed, cold start: %v", snapPath, rerr)
-				restoreStatus = fmt.Sprintf("restore: failed (%v), cold start", rerr)
-			} else {
-				fleet = restored
-				took := time.Since(start).Round(time.Millisecond)
-				restoreStatus = fmt.Sprintf("restore: warm, %d peers from %s in %s", fleet.Len(), snapPath, took)
-				logger.Infof("restored %d peers from %s in %s", fleet.Len(), snapPath, took)
-			}
-		} else if !os.IsNotExist(err) {
-			logger.Warnf("snapshot %s unreadable, cold start: %v", snapPath, err)
-			restoreStatus = fmt.Sprintf("restore: failed (%v), cold start", err)
-		}
+	const cold = "restore: cold start (no snapshot)"
+	if d.snapDir == "" {
+		return controller.NewFleet(cfg), cold
 	}
-	if fleet == nil {
-		fleet = controller.NewFleet(fleetCfg)
+	snapPath := d.snapPath()
+	file, err := os.Open(snapPath)
+	if os.IsNotExist(err) {
+		return controller.NewFleet(cfg), cold
 	}
+	if err != nil {
+		logger.Warnf("snapshot %s unreadable, cold start: %v", snapPath, err)
+		return controller.NewFleet(cfg), fmt.Sprintf("restore: failed (%v), cold start", err)
+	}
+	defer file.Close()
+	start := time.Now()
+	fleet, err := controller.RestoreFleet(file, cfg)
+	if err != nil {
+		logger.Warnf("snapshot restore from %s failed, cold start: %v", snapPath, err)
+		return controller.NewFleet(cfg), fmt.Sprintf("restore: failed (%v), cold start", err)
+	}
+	took := time.Since(start).Round(time.Millisecond)
+	logger.Infof("restored %d peers from %s in %s", fleet.Len(), snapPath, took)
+	return fleet, fmt.Sprintf("restore: warm, %d peers from %s in %s", fleet.Len(), snapPath, took)
+}
 
-	// checkpoint writes the fleet snapshot with temp+rename so the
-	// restore path never sees a torn file; SIGUSR1, POST /snapshot and
-	// shutdown all funnel through it.
-	checkpoint := func() error {
-		tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
-		if err != nil {
-			return err
-		}
-		if err := fleet.Snapshot(tmp); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := os.Rename(tmp.Name(), snapPath); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		return nil
-	}
-
+// runBMP serves a BMP station into the fleet until a signal or a
+// listener failure.
+func (d *daemon) runBMP(addr string, settle time.Duration, fleet *controller.Fleet, restoreStatus string, sigs <-chan os.Signal) {
+	logger := d.logger
 	station := bmp.NewStation(bmp.StationConfig{
 		Sink:        fleet,
 		TableSettle: settle,
 		Logf:        logger.Infof,
 	})
 	opsCfg := ops.Config{Fleet: fleet, Station: station}
+	var checkpoint func() error
 	if d.snapDir != "" {
+		// checkpoint writes the fleet snapshot with temp+rename so the
+		// restore path never sees a torn file; SIGUSR1, POST /snapshot
+		// and shutdown all funnel through it.
+		checkpoint = func() error {
+			tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
+			if err != nil {
+				return err
+			}
+			if err := fleet.Snapshot(tmp); err != nil {
+				tmp.Close()
+				os.Remove(tmp.Name())
+				return err
+			}
+			if err := tmp.Close(); err != nil {
+				os.Remove(tmp.Name())
+				return err
+			}
+			if err := os.Rename(tmp.Name(), d.snapPath()); err != nil {
+				os.Remove(tmp.Name())
+				return err
+			}
+			return nil
+		}
 		opsCfg.Snapshot = checkpoint
 		opsCfg.RestoreStatus = func() string { return restoreStatus }
 	}
@@ -297,86 +293,24 @@ func (d *daemon) runBMP(addr string, localAS uint32, settle time.Duration, alter
 	}
 	logger.Infof("BMP station listening on %s", addr)
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- station.Serve(ln) }()
-
-	metricsC, stop := d.metricsC()
-	defer stop()
-	for {
-		select {
-		case sig := <-sigs:
-			if sig == syscall.SIGUSR1 {
-				if err := checkpoint(); err != nil {
-					logger.Warnf("snapshot checkpoint: %v", err)
-				} else {
-					logger.Infof("snapshot checkpointed to %s", snapPath)
-				}
-				continue
-			}
-			logger.Infof("%v: shutting down station", sig)
-			if err := station.Close(); err != nil {
-				logger.Warnf("station close: %v", err)
-			}
-			if d.snapDir != "" {
-				// The station has drained, so this captures the fleet's
-				// final state; the next start restores it.
-				if err := checkpoint(); err != nil {
-					logger.Warnf("shutdown snapshot: %v", err)
-				} else {
-					logger.Infof("shutdown snapshot written to %s", snapPath)
-				}
-			}
-			fleet.Close()
-			logger.Infof("final: %s", fleet.Status())
-			return
-		case err := <-serveErr:
-			fleet.Close()
-			if err != nil {
-				logger.Fatalf("station: %v", err)
-			}
-			return
-		case <-metricsC:
-			m := station.Metrics()
-			logger.Infof("metrics: conns=%d msgs=%d rm=%d bytes=%d decode_errs=%d | %s",
-				m.Conns, m.Messages, m.RouteMonitoring, m.Bytes, m.DecodeErrors, fleet.Status())
+	ended := make(chan error, 1)
+	go func() {
+		if err := station.Serve(ln); err != nil {
+			ended <- fmt.Errorf("station: %w", err)
 		}
-	}
+	}()
+	d.serve(fleet, sigs, ended, station.Close, func() string {
+		m := station.Metrics()
+		return fmt.Sprintf("conns=%d msgs=%d rm=%d bytes=%d decode_errs=%d | %s",
+			m.Conns, m.Messages, m.RouteMonitoring, m.Bytes, m.DecodeErrors, fleet.Status())
+	}, checkpoint)
 }
 
-// runBGP is the original single-session eBGP deployment, instrumented
-// under the fixed peer label "primary" (the session is established
-// after the engine exists, so the label cannot carry the peer AS).
-func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32, settle time.Duration, alternates []mrt.RIBRecord, altAS uint32, sigs <-chan os.Signal) {
+// runBGP establishes one eBGP session and runs it as a one-peer fleet,
+// through a bgpd.Source, until a signal or the session's end.
+func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32, settle time.Duration, fleet *controller.Fleet, sigs <-chan os.Signal) {
 	logger := d.logger
-	const peerLabel = "primary"
-	ft := controller.NewFleetTelemetry(d.registry, d.ring)
-
-	// The Observer hooks are the daemon's reporting surface; Logf stays
-	// unset so nothing is printed twice.
-	cfg := swiftengine.Config{
-		LocalAS:         localAS,
-		PrimaryNeighbor: primaryAS,
-	}
-	cfg.Metrics = ft.EngineMetricsFor(peerLabel)
-	cfg.Observer = swiftengine.TraceObserver(d.ring, peerLabel).
-		Then(swiftengine.LoggingObserver(logger.Infof))
-	cfg.Inference = inference.Default()
-	engine := swiftengine.New(cfg)
-	ctrl := controller.New(engine, logger.Infof)
-
-	if len(alternates) > 0 {
-		var updates []*bgp.Update
-		for _, rec := range alternates {
-			for _, e := range rec.Entries {
-				updates = append(updates, &bgp.Update{
-					Attrs: e.Attrs,
-					NLRI:  []netaddr.Prefix{rec.Prefix},
-				})
-			}
-		}
-		ctrl.LoadAlternate(altAS, updates)
-		logger.Infof("loaded %d alternate routes", len(updates))
-	}
+	d.serveOps(ops.Config{Fleet: fleet})
 
 	var sess *bgpd.Session
 	var err error
@@ -447,72 +381,74 @@ func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32
 	}
 	logger.Infof("session established with AS%d", sess.PeerAS())
 
-	peerAS := sess.PeerAS()
-	controller.RegisterControllerMetrics(d.registry, ctrl, peerLabel, peerAS)
-	d.serveOps(ops.Config{
-		PeerStatuses: func() []controller.PeerStatus {
-			return []controller.PeerStatus{ctrl.PeerStatus(peerLabel, peerAS)}
-		},
-	})
-
-	// Table transfer: drain announcements until quiet for -settle.
-	var table []*bgp.Update
-	timer := time.NewTimer(settle)
-transfer:
-	for {
-		select {
-		case u, ok := <-sess.Updates():
-			if !ok {
-				logger.Fatalf("session closed during table transfer")
-			}
-			table = append(table, u)
-			timer.Reset(settle)
-		case <-timer.C:
-			break transfer
-		case sig := <-sigs:
-			logger.Infof("%v: closing session during table transfer", sig)
-			sess.Close()
-			return
-		}
+	src := &bgpd.Source{
+		Peer:        controller.PeerKey{AS: sess.PeerAS(), BGPID: sess.PeerID()},
+		Updates:     sess.Updates(),
+		TableSettle: settle,
+		Logf:        logger.Infof,
 	}
-	ctrl.LoadTable(table)
-	if err := ctrl.Provision(); err != nil {
-		logger.Fatalf("provisioning: %v", err)
-	}
-	logger.Infof("provisioned: %s", ctrl.Status())
-
-	ctrl.AttachPrimary(sess)
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	metricsC, stop := d.metricsC()
-	defer stop()
-	done := make(chan struct{})
+	ended := make(chan error, 1)
 	go func() {
-		ctrl.Wait()
-		close(done)
+		err := src.Run(fleet)
+		if err == nil {
+			err = sess.Err()
+		}
+		ended <- err
 	}()
+	// Closing the session CEASEs it and closes its UPDATE stream, which
+	// ends the source once everything received has been handed over.
+	stop := func() error {
+		err := sess.Close()
+		<-ended
+		return err
+	}
+	d.serve(fleet, sigs, ended, stop, fleet.Status, nil)
+}
+
+// serve is the loop both modes end in: periodic stats until a signal
+// or the front-end's own end, then the fleet drains and its final
+// status is printed. stop closes the front-end and waits for it to
+// drain; checkpoint, when set, runs on SIGUSR1 and after stop.
+func (d *daemon) serve(fleet *controller.Fleet, sigs <-chan os.Signal, ended <-chan error, stop func() error, stats func() string, checkpoint func() error) {
+	logger := d.logger
+	metricsC, stopMetrics := d.metricsC()
+	defer stopMetrics()
 	for {
 		select {
-		case <-ticker.C:
-			ctrl.Tick()
-		case <-metricsC:
-			logger.Infof("status: %s", ctrl.Status())
 		case sig := <-sigs:
-			// Graceful shutdown: CEASE the session (instead of dying
-			// mid-write), let the reader drain, report, exit clean.
-			logger.Infof("%v: closing session", sig)
-			if err := sess.Close(); err != nil {
-				logger.Warnf("session close: %v", err)
+			if sig == syscall.SIGUSR1 {
+				if err := checkpoint(); err != nil {
+					logger.Warnf("snapshot checkpoint: %v", err)
+				} else {
+					logger.Infof("snapshot checkpointed to %s", d.snapPath())
+				}
+				continue
 			}
-			<-done
-			logger.Infof("final: %s", ctrl.Status())
+			logger.Infof("%v: shutting down", sig)
+			if err := stop(); err != nil {
+				logger.Warnf("shutdown: %v", err)
+			}
+			if checkpoint != nil {
+				// The front-end has drained, so this captures the fleet's
+				// final state; the next start restores it.
+				if err := checkpoint(); err != nil {
+					logger.Warnf("shutdown snapshot: %v", err)
+				} else {
+					logger.Infof("shutdown snapshot written to %s", d.snapPath())
+				}
+			}
+			fleet.Close()
+			logger.Infof("final: %s", fleet.Status())
 			return
-		case <-done:
-			logger.Infof("final: %s", ctrl.Status())
-			if err := sess.Err(); err != nil {
+		case err := <-ended:
+			fleet.Close()
+			logger.Infof("final: %s", fleet.Status())
+			if err != nil {
 				logger.Fatalf("%v", err)
 			}
 			return
+		case <-metricsC:
+			logger.Infof("metrics: %s", stats())
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Live-session example: the §7 deployment over a real TCP BGP session
 // on localhost. A "peer" speaker (playing AS 2's router) establishes a
-// session with the SWIFT controller, floods the initial table, then
-// replays the Fig. 1 burst on the wire as packed UPDATE messages. The
-// controller detects the burst, infers the failed link and programs the
-// data plane live; the engine's Observer hook pushes each decision to
-// the example the moment it happens — no polling.
+// session with the SWIFT controller, then replays the Fig. 1 burst on
+// the wire as packed UPDATE messages. A bgpd.Source lowers the session
+// into one engine — the same source swiftd runs into a fleet — which
+// detects the burst, infers the failed link and programs the data plane
+// live; the engine's Observer hook pushes each decision to the example
+// the moment it happens — no polling.
 //
 // Run: go run ./examples/live-session
 package main
@@ -18,7 +19,6 @@ import (
 	"swift/internal/bgp"
 	"swift/internal/bgpd"
 	"swift/internal/bgpsim"
-	"swift/internal/controller"
 	"swift/internal/netaddr"
 	"swift/internal/topology"
 )
@@ -28,9 +28,11 @@ func main() {
 	netw := bgpsim.Fig1Network(scale)
 	sols := netw.Solve(netw.Graph)
 
-	// SWIFT controller for AS 1. Decisions are pushed over a channel by
-	// the Observer hook instead of polled from the decision log.
-	decisions := make(chan swift.Decision, 16)
+	// SWIFT engine for AS 1. Decisions are pushed over a channel by the
+	// Observer hook instead of polled from the decision log; the example
+	// reads only the first, so later ones are dropped rather than block
+	// the engine.
+	decisions := make(chan swift.Decision, 1)
 	cfg := swift.Config{LocalAS: 1, PrimaryNeighbor: 2}
 	cfg.Inference = swift.DefaultInference()
 	cfg.Inference.TriggerEvery = 500
@@ -38,34 +40,36 @@ func main() {
 	cfg.Encoding = swift.DefaultEncoding()
 	cfg.Encoding.MinPrefixes = 200
 	cfg.Burst = swift.BurstConfig{StartThreshold: 200, StopThreshold: 9}
-	cfg.Observer.OnDecision = func(d swift.Decision) { decisions <- d }
-	ctrl := controller.New(swift.New(cfg), func(f string, a ...any) {
-		fmt.Printf("  | "+f+"\n", a...)
-	})
+	cfg.Observer.OnDecision = func(d swift.Decision) {
+		select {
+		case decisions <- d:
+		default:
+		}
+	}
+	engine := swift.New(cfg)
 
 	// Preload the table and the alternates (in a full deployment these
-	// come from the other peers' sessions).
+	// come from the sessions' table transfers). The engine is then
+	// provisioned, so the source skips its own transfer.
 	for origin := range netw.Origins {
 		for _, nb := range []uint32{2, 3, 4} {
 			r, ok := sols[origin].ExportTo(netw.Graph, netw.Policy, nb, 1)
 			if !ok {
 				continue
 			}
-			u := &bgp.Update{Attrs: bgp.Attrs{ASPath: r.Path, HasNextHop: true, NextHop: nb}}
 			for i := 0; i < netw.Origins[origin]; i++ {
-				u.NLRI = append(u.NLRI, netaddr.PrefixFor(origin, i))
-			}
-			if nb == 2 {
-				ctrl.LoadTable([]*bgp.Update{u})
-			} else {
-				ctrl.LoadAlternate(nb, []*bgp.Update{u})
+				if nb == 2 {
+					engine.LearnPrimary(netaddr.PrefixFor(origin, i), r.Path)
+				} else {
+					engine.LearnAlternate(nb, netaddr.PrefixFor(origin, i), r.Path)
+				}
 			}
 		}
 	}
-	if err := ctrl.Provision(); err != nil {
+	if err := engine.Provision(); err != nil {
 		panic(err)
 	}
-	fmt.Println("controller provisioned:", ctrl.Status())
+	fmt.Printf("controller provisioned: %d prefixes\n", engine.RIB().Len())
 
 	// Real TCP session on localhost.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -86,11 +90,16 @@ func main() {
 		panic(err)
 	}
 	peer := <-peerReady
-	defer local.Close()
 	defer peer.Close()
 	fmt.Printf("BGP session established over %s (peer AS%d)\n\n", l.Addr(), local.PeerAS())
 
-	ctrl.AttachPrimary(local)
+	// The source does not care whether its sink is one engine or a fleet.
+	src := &bgpd.Source{
+		Peer:    swift.PeerKey{AS: local.PeerAS(), BGPID: local.PeerID()},
+		Updates: local.Updates(),
+	}
+	srcDone := make(chan error, 1)
+	go func() { srcDone <- src.Run(swift.NewSessionSink(engine)) }()
 
 	// AS 2's router replays the (5,6) failure burst on the wire.
 	b, err := netw.ReplayLinkFailure(1, 2, topology.MakeLink(5, 6), bgpsim.TestbedTiming(9))
@@ -125,7 +134,7 @@ func main() {
 	}
 	flush()
 
-	// The observer pushes the first inference as soon as the controller
+	// The observer pushes the first inference as soon as the source
 	// drains it off the socket.
 	fmt.Println()
 	select {
@@ -135,5 +144,13 @@ func main() {
 	case <-time.After(10 * time.Second):
 		fmt.Println("no inference within 10s")
 	}
-	fmt.Println("final:", ctrl.Status())
+
+	// Closing our end of the session ends the source; the engine is
+	// ours again once it has returned.
+	local.Close()
+	if err := <-srcDone; err != nil {
+		panic(err)
+	}
+	fmt.Printf("final: rib=%d prefixes, rules=%d, decisions=%d, rerouting=%v\n",
+		engine.RIB().Len(), engine.FIB().NumRules(), engine.NumDecisions(), engine.RerouteActive())
 }

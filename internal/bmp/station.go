@@ -16,9 +16,10 @@ import (
 type StationConfig struct {
 	// Sink receives the demuxed per-peer event stream. Required. A
 	// controller.Fleet routes each peer to its own engine; a
-	// swift.SessionSink funnels everything into one. If the sink also
-	// implements event.Provisioner, each peer's in-band table dump is
-	// loaded through it and the peer is provisioned at End-of-RIB;
+	// swift.SessionSink funnels everything into one. mrt.Source and
+	// bgpd.Source (one eBGP session) feed the same sinks. If the sink
+	// also implements event.Provisioner, each peer's in-band table dump
+	// is loaded through it and the peer is provisioned at End-of-RIB;
 	// otherwise peers are assumed provisioned out-of-band and go
 	// straight to live streaming.
 	Sink event.Sink

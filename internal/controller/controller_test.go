@@ -43,24 +43,32 @@ func livePair(t *testing.T) (*bgpd.Session, *bgpd.Session) {
 }
 
 // TestLiveBurstReroute drives the full §7 pipeline over a real BGP
-// session: the peer replays the Fig. 1 burst as wire UPDATEs, the
-// controller's engine detects it, infers (5,6), and programs the data
-// plane while the burst is still arriving.
+// session: the peer replays the Fig. 1 burst as wire UPDATEs, a
+// bgpd.Source lowers the session into a Fleet, and the peer's engine
+// detects the burst, infers (5,6) and programs the data plane while the
+// burst is still arriving.
 func TestLiveBurstReroute(t *testing.T) {
 	scale := 1000
 	netw := bgpsim.Fig1Network(scale)
 	sols := netw.Solve(netw.Graph)
 
-	cfg := swiftengine.Config{LocalAS: 1, PrimaryNeighbor: 2}
-	cfg.Inference = inference.Default()
-	cfg.Inference.TriggerEvery = 250
-	cfg.Inference.UseHistory = false
-	cfg.Encoding.MinPrefixes = 100
-	cfg.Burst.StartThreshold = 100
-	engine := swiftengine.New(cfg)
-	// The controller's session goroutine can outlive the test body by a
-	// beat; logging must not touch testing.T after completion.
-	ctrl := New(engine, nil)
+	// The factory leaves PrimaryNeighbor unset, as swiftd's does: the
+	// fleet makes it the peer's AS. A fixed 0 installs no primary rule,
+	// and the engine forwards nothing.
+	fleet := NewFleet(FleetConfig{Engine: func(PeerKey) swiftengine.Config {
+		cfg := swiftengine.Config{LocalAS: 1}
+		cfg.Inference = inference.Default()
+		cfg.Inference.TriggerEvery = 250
+		cfg.Inference.UseHistory = false
+		cfg.Encoding.MinPrefixes = 100
+		cfg.Burst.StartThreshold = 100
+		return cfg
+	}})
+	defer fleet.Close()
+
+	local, peer := livePair(t)
+	key := PeerKey{AS: local.PeerAS(), BGPID: local.PeerID()}
+	p := fleet.Peer(key)
 
 	// Table transfer: primary from AS 2, alternates from AS 3 and 4.
 	for origin := range netw.Origins {
@@ -69,39 +77,36 @@ func TestLiveBurstReroute(t *testing.T) {
 			if !ok {
 				continue
 			}
-			var updates []*bgp.Update
-			u := &bgp.Update{Attrs: bgp.Attrs{ASPath: r.Path, HasNextHop: true, NextHop: nb}}
 			for i := 0; i < netw.Origins[origin]; i++ {
-				u.NLRI = append(u.NLRI, netaddr.PrefixFor(origin, i))
-			}
-			updates = append(updates, u)
-			if nb == 2 {
-				ctrl.LoadTable(updates)
-			} else {
-				ctrl.LoadAlternate(nb, updates)
+				if nb == 2 {
+					p.LearnPrimary(netaddr.PrefixFor(origin, i), r.Path)
+				} else {
+					p.LearnAlternate(nb, netaddr.PrefixFor(origin, i), r.Path)
+				}
 			}
 		}
 	}
-	if err := ctrl.Provision(); err != nil {
+	if err := p.Provision(); err != nil {
 		t.Fatal(err)
 	}
 
-	local, peer := livePair(t)
-	ctrl.AttachPrimary(local)
-
-	// Pre-failure forwarding sanity.
-	if nh, ok := ctrl.ForwardPrefix(netaddr.PrefixFor(8, 0)); !ok || nh != 2 {
-		t.Fatalf("pre-failure forward = %d %v", nh, ok)
+	var nh uint32
+	var ok bool
+	p.Do(func(e *swiftengine.Engine) { nh, ok = e.FIB().ForwardPrefix(netaddr.PrefixFor(8, 0)) })
+	if !ok || nh != 2 {
+		t.Fatalf("pre-failure forward = %d %v, want next hop 2", nh, ok)
 	}
 
-	// Replay the burst on the wire (squashed in time: the controller
-	// uses arrival wall-clock, and we only need ordering).
+	done := make(chan error, 1)
+	go func() { done <- (&bgpd.Source{Peer: key, Updates: local.Updates()}).Run(fleet) }()
+
+	// Replay the burst on the wire (squashed in time: the source stamps
+	// arrival wall-clock, and we only need ordering).
 	b, err := netw.ReplayLinkFailure(1, 2, topology.MakeLink(5, 6), bgpsim.DefaultTiming(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wd []netaddr.Prefix
-	sent := 0
 	flushWd := func() {
 		if len(wd) == 0 {
 			return
@@ -129,24 +134,25 @@ func TestLiveBurstReroute(t *testing.T) {
 				t.Fatalf("send: %v", err)
 			}
 		}
-		sent++
 	}
 	flushWd()
 
-	// Wait until the controller has drained the stream and decided.
+	// Wait until the engine has drained the stream and decided.
 	deadline := time.After(15 * time.Second)
 	for {
-		if ds := ctrl.Decisions(); len(ds) > 0 && ctrl.OnLink(topology.MakeLink(5, 6)) == 0 {
+		onLink := -1
+		p.Do(func(e *swiftengine.Engine) { onLink = e.RIB().OnLink(topology.MakeLink(5, 6)) })
+		if len(p.Decisions()) > 0 && onLink == 0 {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("controller did not converge: %s", ctrl.Status())
+			t.Fatalf("fleet did not converge: %s", fleet.Status())
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
 
-	ds := ctrl.Decisions()
+	ds := p.Decisions()
 	last := ds[len(ds)-1]
 	found := false
 	for _, l := range last.Result.Links {
@@ -157,18 +163,10 @@ func TestLiveBurstReroute(t *testing.T) {
 	if !found {
 		t.Errorf("final live inference = %v, want (5,6)", last.Result.Links)
 	}
-	if ctrl.Status() == "" {
-		t.Error("empty status")
-	}
-}
 
-func TestTickClosesQuietBurst(t *testing.T) {
-	cfg := swiftengine.Config{LocalAS: 1, PrimaryNeighbor: 2}
-	cfg.Burst.StartThreshold = 10
-	engine := swiftengine.New(cfg)
-	ctrl := New(engine, nil)
-	if err := ctrl.Provision(); err != nil {
-		t.Fatal(err)
+	// Closing the session ends the source cleanly.
+	local.Close()
+	if err := <-done; err != nil {
+		t.Errorf("source: %v", err)
 	}
-	ctrl.Tick() // must not panic on an idle controller
 }

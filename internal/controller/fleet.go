@@ -1,3 +1,10 @@
+// Package controller implements the paper's §7 deployment scheme for
+// routers without a native two-stage table: a SWIFT controller learns
+// each of the protected router's sessions — over BMP, or as a live eBGP
+// session (the ExaBGP role) — runs one SWIFT engine per session in a
+// Fleet, and programs an SDN-switch-like data plane (our dataplane.FIB)
+// with the tag rules. The protected router only needs BGP and ARP; here
+// the "switch" is the simulated FIB each engine owns.
 package controller
 
 import (
@@ -68,8 +75,8 @@ func LoggingFleetObserver(logf func(format string, args ...any)) FleetObserver {
 
 // FleetConfig parameterizes a Fleet.
 type FleetConfig struct {
-	// Engine builds the engine configuration for a new peer. Nil
-	// selects a default whose PrimaryNeighbor is the peer's AS.
+	// Engine builds the engine configuration for a new peer (nil: the
+	// zero Config). A zero PrimaryNeighbor becomes the peer's AS.
 	Engine func(key PeerKey) swiftengine.Config
 	// Observer receives peer-attributed push notifications for every
 	// engine in the pool. It composes with (runs before) any Observer
@@ -306,16 +313,7 @@ func (f *Fleet) Peer(key PeerKey) *FleetPeer {
 	if ok {
 		return p
 	}
-	cfg := swiftengine.Config{PrimaryNeighbor: key.AS}
-	if f.cfg.Engine != nil {
-		cfg = f.cfg.Engine(key)
-	}
-	if cfg.Pool == nil {
-		cfg.Pool = f.pool
-	}
-	if f.fusion != nil && cfg.Fusion == nil {
-		cfg.Fusion = f.fusion.Gate(key)
-	}
+	cfg := f.engineConfig(key)
 	cand := &FleetPeer{
 		key:    key,
 		fleet:  f,
@@ -348,6 +346,25 @@ func (f *Fleet) Peer(key PeerKey) *FleetPeer {
 	s.peers[key] = cand
 	f.logf("fleet: peer %s created", key)
 	return cand
+}
+
+// engineConfig is the key's engine configuration: the factory's, with
+// the fleet's defaults filled in.
+func (f *Fleet) engineConfig(key PeerKey) swiftengine.Config {
+	var cfg swiftengine.Config
+	if f.cfg.Engine != nil {
+		cfg = f.cfg.Engine(key)
+	}
+	if cfg.PrimaryNeighbor == 0 {
+		cfg.PrimaryNeighbor = key.AS
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = f.pool
+	}
+	if f.fusion != nil && cfg.Fusion == nil {
+		cfg.Fusion = f.fusion.Gate(key)
+	}
+	return cfg
 }
 
 // ClosePeer tears one session down: the peer leaves the pool

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"swift/internal/bgp"
+	"swift/internal/bgpd"
 	"swift/internal/bmp"
 	"swift/internal/event"
 	"swift/internal/mrt"
@@ -23,7 +24,7 @@ type peerUpdate struct {
 }
 
 // flatEvent is an event reduced to what every front-end must agree on.
-// at is relative to the peer's first event; the eBGP controller stamps
+// at is relative to the peer's first event; the eBGP source stamps
 // wall-clock offsets, so its at is not compared.
 type flatEvent struct {
 	kind   event.Kind
@@ -73,7 +74,7 @@ func (c *pipeConn) Close() error               { return nil }
 
 // TestOneLoweringThreeFrontEnds pushes the same UPDATE sequences through
 // the three front-ends — BMP frames into a Station, BGP4MP records into
-// an mrt.Source, decoded *bgp.Update values into the eBGP Controller —
+// an mrt.Source, decoded *bgp.Update values into a bgpd.Source —
 // and demands the same per-peer event sequence from each, whatever the
 // batch boundaries: there is one UPDATE→events lowering, and every
 // source uses it.
@@ -179,10 +180,8 @@ func TestOneLoweringThreeFrontEnds(t *testing.T) {
 			}
 
 			for _, peer := range []event.PeerKey{a, b} {
-				// eBGP: one controller per session, fed the way
-				// AttachPrimary feeds it.
+				// eBGP: one source per session.
 				var viaBGP recorder
-				c := &Controller{out: event.NewBuilder(&viaBGP, 0), start: time.Now(), logf: t.Logf}
 				ch := make(chan *bgp.Update, len(tc.updates))
 				for _, pu := range tc.updates {
 					if pu.peer == peer {
@@ -190,8 +189,8 @@ func TestOneLoweringThreeFrontEnds(t *testing.T) {
 					}
 				}
 				close(ch)
-				for u := range ch {
-					c.apply(u, ch)
+				if err := (&bgpd.Source{Peer: peer, Updates: ch}).Run(&viaBGP); err != nil {
+					t.Fatal(err)
 				}
 
 				want := viaBMP.sequence(peer, true)
@@ -199,7 +198,7 @@ func TestOneLoweringThreeFrontEnds(t *testing.T) {
 					t.Errorf("peer %v: MRT lowered %d events, BMP %d; first difference at %d", peer, len(got), len(want), firstDiff(got, want))
 				}
 				want = viaBMP.sequence(peer, false)
-				if got := viaBGP.sequence(event.PeerKey{}, false); !slices.Equal(got, want) {
+				if got := viaBGP.sequence(peer, false); !slices.Equal(got, want) {
 					t.Errorf("peer %v: eBGP lowered %d events, BMP %d; first difference at %d", peer, len(got), len(want), firstDiff(got, want))
 				}
 				n := 0
@@ -214,7 +213,7 @@ func TestOneLoweringThreeFrontEnds(t *testing.T) {
 				// A queue of UPDATEs is one burst: batches are cut by the
 				// builder's cap, not per message.
 				if most := 1 + n/event.DefaultBatchEvents; viaBGP.batches > most {
-					t.Errorf("peer %v: controller delivered %d events in %d batches, want at most %d", peer, n, viaBGP.batches, most)
+					t.Errorf("peer %v: eBGP source delivered %d events in %d batches, want at most %d", peer, n, viaBGP.batches, most)
 				}
 			}
 		})

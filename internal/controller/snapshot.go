@@ -103,18 +103,9 @@ func (f *Fleet) restore(img *snapshot.FleetImage) error {
 // there is no creation race to double-check against.
 func (f *Fleet) restorePeer(pi *snapshot.PeerImage) error {
 	key := pi.Key
-	cfg := swiftengine.Config{PrimaryNeighbor: key.AS}
-	if f.cfg.Engine != nil {
-		cfg = f.cfg.Engine(key)
-	}
-	if cfg.Pool == nil {
-		cfg.Pool = f.pool
-	}
+	cfg := f.engineConfig(key)
 	if cfg.Pool != f.pool {
 		return fmt.Errorf("engine factory supplied a private pool; snapshot ids are against the fleet pool")
-	}
-	if f.fusion != nil && cfg.Fusion == nil {
-		cfg.Fusion = f.fusion.Gate(key)
 	}
 	p := &FleetPeer{
 		key:    key,

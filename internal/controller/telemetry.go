@@ -84,13 +84,7 @@ func NewFleetTelemetry(reg *telemetry.Registry, ring *telemetry.BurstRing) *Flee
 
 // EngineMetrics resolves one peer's pre-resolved handle set.
 func (t *FleetTelemetry) EngineMetrics(key PeerKey) swiftengine.Metrics {
-	return t.EngineMetricsFor(key.String())
-}
-
-// EngineMetricsFor resolves the handle set for an arbitrary peer label
-// — the entry point for single-session (eBGP mode) deployments that
-// have no fleet PeerKey.
-func (t *FleetTelemetry) EngineMetricsFor(peer string) swiftengine.Metrics {
+	peer := key.String()
 	return swiftengine.Metrics{
 		Withdrawals:         t.withdrawals.With(peer),
 		Announcements:       t.announcements.With(peer),
@@ -116,7 +110,7 @@ func (t *FleetTelemetry) EngineMetricsFor(peer string) swiftengine.Metrics {
 func (t *FleetTelemetry) Instrument(cfg FleetConfig) FleetConfig {
 	inner := cfg.Engine
 	cfg.Engine = func(key PeerKey) swiftengine.Config {
-		ecfg := swiftengine.Config{PrimaryNeighbor: key.AS}
+		var ecfg swiftengine.Config
 		if inner != nil {
 			ecfg = inner(key)
 		}
@@ -181,50 +175,6 @@ func (f *Fleet) PeerStatuses() []PeerStatus {
 		out = append(out, p.Status())
 	}
 	return out
-}
-
-// PeerStatus snapshots a single-session controller under the given
-// peer label — the eBGP-mode counterpart of FleetPeer.Status.
-func (c *Controller) PeerStatus(peer string, as uint32) PeerStatus {
-	st := PeerStatus{
-		Peer:          peer,
-		AS:            as,
-		Withdrawals:   c.withdrawals.Load(),
-		Announcements: c.announcements.Load(),
-		LastAt:        time.Since(c.start),
-	}
-	c.mu.Lock()
-	st.Provisioned = c.engine.Scheme() != nil
-	st.RerouteActive = c.engine.RerouteActive()
-	st.Decisions = c.engine.NumDecisions()
-	st.Deferred = c.engine.Deferred()
-	st.RIBPrefixes = c.engine.RIB().Len()
-	st.FIBTags = c.engine.FIB().NumTags()
-	st.FIBRules = c.engine.FIB().NumRules()
-	c.mu.Unlock()
-	return st
-}
-
-// RegisterControllerMetrics exports a single-session controller's
-// scrape-time state on reg, under the same family names the fleet
-// uses so dashboards work across both deployment modes.
-func RegisterControllerMetrics(reg *telemetry.Registry, c *Controller, peer string, as uint32) {
-	fibTags := reg.GaugeVec("swift_fib_tags", "Stage-1 tagged prefixes, per peer.", "peer")
-	fibRules := reg.GaugeVec("swift_fib_rules", "Stage-2 rules installed, per peer.", "peer")
-	ribPrefixes := reg.GaugeVec("swift_rib_prefixes", "Primary RIB prefixes, per peer.", "peer")
-	rerouting := reg.Gauge("swift_fleet_rerouting_peers",
-		"Peers with fast-reroute rules installed right now.")
-	reg.OnScrape(func() {
-		st := c.PeerStatus(peer, as)
-		fibTags.With(peer).Set(float64(st.FIBTags))
-		fibRules.With(peer).Set(float64(st.FIBRules))
-		ribPrefixes.With(peer).Set(float64(st.RIBPrefixes))
-		if st.RerouteActive {
-			rerouting.Set(1)
-		} else {
-			rerouting.Set(0)
-		}
-	})
 }
 
 // RegisterFleetMetrics exports the fleet's aggregate and scrape-time

@@ -17,8 +17,8 @@ const (
 )
 
 // Builder is the one UPDATE→events lowering every source shares: a BMP
-// station (one per monitored peer), an MRT replay and the eBGP
-// controller all hand it decoded UPDATEs and it hands their sink ordered
+// station (one per monitored peer), an MRT replay and an eBGP session's
+// source all hand it decoded UPDATEs and it hands their sink ordered
 // batches. It owns the pending batch, the flush-at-cap rule and the
 // storage behind Event.Path, so a source may pass slices out of a
 // decoder it reuses for the next message.

@@ -126,7 +126,10 @@ func (f SinkFunc) Apply(b Batch) error { return f(b) }
 
 // Source pushes a stream of event batches into a sink until the stream
 // is exhausted or the sink fails. A Source owns segmentation (how many
-// events per batch) and the stream clock (each event's At).
+// events per batch) and the stream clock (each event's At). The
+// front-ends are bmp.Station (live BMP feeds), mrt.Source (archives)
+// and bgpd.Source (one live eBGP session); bgpsim.BurstSource replays
+// synthetic bursts.
 type Source interface {
 	Run(Sink) error
 }

@@ -42,9 +42,6 @@ type Config struct {
 	// Station, when set, has its ingestion counters exported under
 	// swift_station_*.
 	Station *bmp.Station
-	// PeerStatuses overrides the /peers payload — the hook for
-	// single-session deployments with no fleet.
-	PeerStatuses func() []controller.PeerStatus
 	// Healthy, when set, gates /healthz; nil means always healthy.
 	Healthy func() bool
 	// Snapshot, when set, backs POST /snapshot: it checkpoints the
@@ -70,11 +67,6 @@ func NewHandler(cfg Config) http.Handler {
 	if cfg.Station != nil {
 		RegisterStationMetrics(cfg.Registry, cfg.Station)
 	}
-	peers := cfg.PeerStatuses
-	if peers == nil && cfg.Fleet != nil {
-		peers = cfg.Fleet.PeerStatuses
-	}
-
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", cfg.Registry)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -98,10 +90,9 @@ func NewHandler(cfg Config) http.Handler {
 			w.Write([]byte("snapshot written\n"))
 		})
 	}
-	if peers != nil {
-		list := peers
+	if cfg.Fleet != nil {
 		mux.HandleFunc("GET /peers", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, list())
+			writeJSON(w, cfg.Fleet.PeerStatuses())
 		})
 	}
 	if cfg.Ring != nil {
