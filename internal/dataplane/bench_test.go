@@ -8,17 +8,16 @@ import (
 	"swift/internal/netaddr"
 )
 
-// The LPM benchmarks measure three structures side by side on the same
-// tables and address samples: the Poptrie (the FIB's stage-1 read path
-// — 16-bit direct root + popcount-indexed stride-6 levels), the
-// compressed binary Trie it fronts (the authoritative ordered store,
-// and the read path before PR 8), and the map-plus-length-scan baseline
-// the trie replaced in PR 5 (newMapLPM in lpm_test.go, retained as the
-// reference point of the whole trajectory).
+// The LPM benchmarks measure two structures side by side on the same
+// tables and address samples: the Poptrie (the FIB's stage 1 — a sorted
+// entry slice indexed by a 16-bit direct root + popcount-indexed
+// stride-6 levels) and the map-plus-length-scan baseline (newMapLPM in
+// lpm_test.go, retained as the reference point of the whole
+// trajectory).
 
 // benchPrefixes builds a mixed-length table shaped like a provisioned
 // stage 1: mostly /32 host routes plus covering blocks — the hot-case
-// table the trie lost to the map on.
+// table a plain binary trie loses to the map on.
 func benchPrefixes(n int) []netaddr.Prefix {
 	out := make([]netaddr.Prefix, 0, n)
 	for i := 0; i < n; i++ {
@@ -40,20 +39,25 @@ func benchAddrs(ps []netaddr.Prefix) []uint32 {
 	return addrs
 }
 
-func fillPoptrie(ps []netaddr.Prefix) *Poptrie {
-	var pt Poptrie
+// tagTable tags ps[i] with i%64, a later duplicate overwriting an
+// earlier one, as a strictly ascending assignment.
+func tagTable(ps []netaddr.Prefix) []TagEntry {
+	m := make(map[netaddr.Prefix]encoding.Tag, len(ps))
 	for i, p := range ps {
-		pt.Insert(p, encoding.Tag(i%64))
+		m[p] = encoding.Tag(i % 64)
 	}
-	return &pt
+	return sortedEntries(m)
 }
 
-func fillTrie(ps []netaddr.Prefix) *Trie {
-	var tr Trie
-	for i, p := range ps {
-		tr.Insert(p, encoding.Tag(i%64))
+// fillPoptrie provisions the table as the FIB does, with one Replace,
+// and builds the lookup index before the clock starts.
+func fillPoptrie(ps []netaddr.Prefix) *Poptrie {
+	var pt Poptrie
+	if err := pt.Replace(tagTable(ps)); err != nil {
+		panic(err)
 	}
-	return &tr
+	pt.Lookup(0)
+	return &pt
 }
 
 func fillMap(ps []netaddr.Prefix) *mapLPM {
@@ -74,18 +78,6 @@ func BenchmarkLPMLookupPoptrie(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-// BenchmarkLPMLookupTrie measures the same lookups through the
-// authoritative compressed trie (the pre-PR-8 read path).
-func BenchmarkLPMLookupTrie(b *testing.B) {
-	tr := fillTrie(benchPrefixes(100000))
-	addrs := benchAddrs(benchPrefixes(100000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i%len(addrs)])
 	}
 }
 
@@ -130,7 +122,7 @@ func benchDensePrefixes(n int) []netaddr.Prefix {
 	return out
 }
 
-// BenchmarkLPMLookupDensePoptrie / ...DenseTrie / ...DenseMap: hit
+// BenchmarkLPMLookupDense{Poptrie,Map}: hit
 // lookups against a 512k-entry /16../24 full-table shape.
 func BenchmarkLPMLookupDensePoptrie(b *testing.B) {
 	ps := benchDensePrefixes(512 << 10)
@@ -140,17 +132,6 @@ func BenchmarkLPMLookupDensePoptrie(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-func BenchmarkLPMLookupDenseTrie(b *testing.B) {
-	ps := benchDensePrefixes(512 << 10)
-	tr := fillTrie(ps)
-	addrs := benchAddrs(ps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i%len(addrs)])
 	}
 }
 
@@ -179,7 +160,7 @@ func benchMixedLengths(n int) []netaddr.Prefix {
 	return out
 }
 
-// BenchmarkLPMMixedLengths{Poptrie,Trie,Map}: lookups against a table
+// BenchmarkLPMMixedLengths{Poptrie,Map}: lookups against a table
 // with 25 populated prefix lengths.
 func BenchmarkLPMMixedLengthsPoptrie(b *testing.B) {
 	ps := benchMixedLengths(100000)
@@ -188,16 +169,6 @@ func BenchmarkLPMMixedLengthsPoptrie(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt.Lookup(ps[(i*97)%len(ps)].Addr())
-	}
-}
-
-func BenchmarkLPMMixedLengthsTrie(b *testing.B) {
-	ps := benchMixedLengths(100000)
-	tr := fillTrie(ps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(ps[(i*97)%len(ps)].Addr())
 	}
 }
 
@@ -211,24 +182,15 @@ func BenchmarkLPMMixedLengthsMap(b *testing.B) {
 	}
 }
 
-// BenchmarkLPMMiss{Poptrie,Trie,Map}: addresses with no covering
-// prefix. The poptrie rejects on the root probe, the trie at the first
-// diverging node; the scan probes every populated length.
+// BenchmarkLPMMiss{Poptrie,Map}: addresses with no covering prefix.
+// The poptrie rejects on the root probe; the scan probes every
+// populated length.
 func BenchmarkLPMMissPoptrie(b *testing.B) {
 	pt := fillPoptrie(benchMixedLengths(100000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt.Lookup(0xf0000000 | uint32(i))
-	}
-}
-
-func BenchmarkLPMMissTrie(b *testing.B) {
-	tr := fillTrie(benchMixedLengths(100000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(0xf0000000 | uint32(i))
 	}
 }
 
@@ -241,10 +203,11 @@ func BenchmarkLPMMissMap(b *testing.B) {
 	}
 }
 
-// BenchmarkLPMInsertDelete{Poptrie,Trie} measure a full
-// withdraw/re-announce churn cycle against a warm 100k-entry table —
-// the poptrie pays the incremental read-path mirror on top of the trie
-// write.
+// BenchmarkLPMInsertDeletePoptrie measures a full withdraw/re-announce
+// churn cycle against a warm 100k-entry table: two shifts of the sorted
+// entries plus the incremental index mirror. No engine or ledger path
+// writes stage 1 one prefix at a time — they all Replace — so this
+// prices only the small vanilla-BGP tables the scenario engine keeps.
 func BenchmarkLPMInsertDeletePoptrie(b *testing.B) {
 	ps := benchPrefixes(100000)
 	pt := fillPoptrie(ps)
@@ -257,24 +220,16 @@ func BenchmarkLPMInsertDeletePoptrie(b *testing.B) {
 	}
 }
 
-func BenchmarkLPMInsertDeleteTrie(b *testing.B) {
-	ps := benchPrefixes(100000)
-	tr := fillTrie(ps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := ps[i%len(ps)]
-		tr.Delete(p)
-		tr.Insert(p, encoding.Tag(i%64))
-	}
-}
-
 // benchFIB provisions the two-stage pipeline the Forward benchmarks
 // share: 100k stage-1 entries, 8 stage-2 rules.
 func benchFIB() (*FIB, []uint32) {
+	ps := make([]netaddr.Prefix, 100000)
+	for i := range ps {
+		ps[i] = netaddr.PrefixFor(uint32(100+i%50), i/50)
+	}
 	f := New(Config{})
-	for i := 0; i < 100000; i++ {
-		f.SetTag(netaddr.PrefixFor(uint32(100+i%50), i/50), encoding.Tag(i%64))
+	if err := f.ReplaceTags(tagTable(ps)); err != nil {
+		panic(err)
 	}
 	for p := 0; p < 8; p++ {
 		f.InstallRule(encoding.Rule{Value: encoding.Tag(p), Mask: 0x3f, NextHop: uint32(p), Priority: p})

@@ -42,13 +42,12 @@ func (c Config) cost() time.Duration {
 	return c.RuleUpdateCost
 }
 
-// FIB is the simulated two-stage forwarding table. Stage 1 is a
-// lookup-optimized LPM (see Poptrie): a 16-bit direct-index root array
-// with compressed popcount-indexed deeper levels as the read path,
-// fronting the compressed binary trie that stays the authoritative
-// ordered store (batched updates, iteration, deterministic Dump).
-// Stage 2 is a priority-ordered ternary rule list over the tags stage 1
-// produces.
+// FIB is the simulated two-stage forwarding table. Stage 1 (see
+// Poptrie) is one strictly ascending slice of tag entries — the store
+// that iteration, exact match, the deterministic Dump and Export read —
+// indexed for longest-prefix match by a 16-bit direct-index root array
+// with compressed popcount-indexed deeper levels. Stage 2 is a
+// priority-ordered ternary rule list over the tags stage 1 produces.
 type FIB struct {
 	cfg    Config
 	stage1 Poptrie
@@ -95,11 +94,12 @@ func (f *FIB) SetTag(p netaddr.Prefix, t encoding.Tag) {
 
 // ReplaceTags swaps in a complete stage-1 assignment, charging one
 // write per entry — the accounting a rebuild via SetTag would produce.
-// tags must be in strictly ascending prefix order, as Scheme.Tags
-// returns them; a violation is reported and leaves the FIB unchanged.
-// The slice is only read during the call, and the table is bulk-built
-// into the previous assignment's node slab, so a burst-end re-provision
-// of a table that has not grown allocates nothing here.
+// tags must pass encoding.CheckTags (canonical prefixes in strictly
+// ascending order, as Scheme.Tags returns them); a violation is
+// reported and leaves the FIB unchanged. The slice is only read during
+// the call: it is copied into the previous assignment's buffer, so a
+// burst-end re-provision of a table that has not grown allocates
+// nothing here, and the lookup index is rebuilt on the next read.
 func (f *FIB) ReplaceTags(tags []TagEntry) error {
 	if err := f.stage1.Replace(tags); err != nil {
 		return err

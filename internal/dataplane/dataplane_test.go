@@ -195,9 +195,9 @@ func TestInstallOrderMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestReplaceTagsSteadyStateAllocs pins the slab reuse: once a FIB has
-// been provisioned, swapping in another assignment of the same size
-// builds into the previous table's node memory.
+// TestReplaceTagsSteadyStateAllocs pins the buffer reuse: once a FIB
+// has been provisioned, swapping in another assignment of the same size
+// copies into the previous table's entry buffer.
 func TestReplaceTagsSteadyStateAllocs(t *testing.T) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(1))

@@ -1,77 +1,41 @@
 package dataplane
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"swift/internal/encoding"
 	"swift/internal/netaddr"
 )
 
-// FuzzLPMOps drives the poptrie-fronted stage-1 LPM and the bare trie
-// through a fuzzer-chosen stream of interleaved InsertBatch /
-// DeleteBatch / Lookup / whole-table Replace operations, checking every
-// observable against the brute-force map reference: batch return
-// counts, point lookups, entry counts, and a final full-table sweep.
-// Ops are decoded from 6-byte records — [op][addr:4][len] — and mostly
-// confined to a small address pocket so covers, overwrites, collapses
-// and re-announces collide constantly. A lookup record with op bit 3
-// set (op 11) first swaps both structures for a sorted bulk build of
-// the reference's current contents, so later ops run on a recycled
-// node slab.
+// FuzzLPMOps drives the stage-1 poptrie through a fuzzer-chosen stream
+// of single-prefix Insert / Delete / Lookup / whole-table Replace
+// operations, checking every observable against the brute-force map
+// reference: each Insert's fresh and Delete's hit return, point
+// lookups and Len after every op, and a final sweep of the touched
+// addresses plus ForEach order and contents. Ops are decoded from
+// 6-byte records — [op][addr:4][len] — and mostly confined to a small
+// address pocket so covers, overwrites, collapses and re-announces
+// collide constantly. A lookup record (op%3 == 2) first swaps in a
+// sorted bulk copy of the reference's contents when op bit 3 is set
+// (op 11), so later ops run on a recycled buffer; with op bit 4 set it
+// instead hands Replace that copy plus one prefix packed from the raw
+// address and length bytes, unmasked, which must fail exactly when
+// encoding.CheckTags does and then leave the table unchanged.
 func FuzzLPMOps(f *testing.F) {
 	for _, seed := range fuzzLPMSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tr Trie
 		var pop Poptrie
 		ref := newMapLPM()
-		var ins []TagEntry
-		var dels []netaddr.Prefix
 		var touched []uint32
 
 		check := func(addr uint32) {
 			wt, wok := ref.Lookup(addr)
 			if gt, gok := pop.Lookup(addr); gt != wt || gok != wok {
-				t.Fatalf("poptrie Lookup(%08x) = %v,%v want %v,%v", addr, gt, gok, wt, wok)
-			}
-			if gt, gok := tr.Lookup(addr); gt != wt || gok != wok {
-				t.Fatalf("trie Lookup(%08x) = %v,%v want %v,%v", addr, gt, gok, wt, wok)
-			}
-		}
-		flush := func() {
-			if len(ins) > 0 {
-				got, want := 0, 0
-				for _, e := range ins {
-					if tr.Insert(e.Prefix, e.Tag) {
-						got++
-					}
-					if ref.Insert(e.Prefix, e.Tag) {
-						want++
-					}
-				}
-				if pgot := pop.InsertBatch(ins); got != want || pgot != want {
-					t.Fatalf("InsertBatch fresh trie=%d pop=%d want %d", got, pgot, want)
-				}
-				ins = ins[:0]
-			}
-			if len(dels) > 0 {
-				got, want := 0, 0
-				for _, p := range dels {
-					if tr.Delete(p) {
-						got++
-					}
-					if ref.Delete(p) {
-						want++
-					}
-				}
-				if pgot := pop.DeleteBatch(dels); got != want || pgot != want {
-					t.Fatalf("DeleteBatch hit trie=%d pop=%d want %d", got, pgot, want)
-				}
-				dels = dels[:0]
-			}
-			if tr.Len() != len(ref.m) || pop.Len() != len(ref.m) {
-				t.Fatalf("Len trie=%d pop=%d want %d", tr.Len(), pop.Len(), len(ref.m))
+				t.Fatalf("Lookup(%08x) = %v,%v want %v,%v", addr, gt, gok, wt, wok)
 			}
 		}
 
@@ -88,43 +52,50 @@ func FuzzLPMOps(f *testing.F) {
 			touched = append(touched, addr)
 			switch op % 3 {
 			case 0:
-				ins = append(ins, TagEntry{Prefix: pfx, Tag: encoding.Tag(rec[3] ^ rec[4])})
+				tag := encoding.Tag(rec[3] ^ rec[4])
+				if got, want := pop.Insert(pfx, tag), ref.Insert(pfx, tag); got != want {
+					t.Fatalf("Insert(%s) fresh=%v want %v", pfx, got, want)
+				}
 			case 1:
-				dels = append(dels, pfx)
+				if got, want := pop.Delete(pfx), ref.Delete(pfx); got != want {
+					t.Fatalf("Delete(%s) = %v want %v", pfx, got, want)
+				}
 			case 2:
-				flush()
-				if op&8 != 0 {
-					snap := sortedEntries(ref.m)
-					if err := pop.Replace(snap); err != nil {
-						t.Fatalf("poptrie Replace: %v", err)
+				switch {
+				case op&16 != 0:
+					raw := rawPrefix(addr, int(rec[4]))
+					snap := append(sortedEntries(ref.m), te(raw, 1))
+					slices.SortFunc(snap, func(a, b TagEntry) int { return cmp.Compare(a.Prefix, b.Prefix) })
+					err, want := pop.Replace(snap), encoding.CheckTags(snap)
+					if (err == nil) != (want == nil) {
+						t.Fatalf("Replace with %#x: err %v, CheckTags %v", uint64(raw), err, want)
 					}
-					if err := tr.Replace(snap); err != nil {
-						t.Fatalf("trie Replace: %v", err)
+					if err == nil {
+						ref.Insert(raw, 1)
+					}
+					checkEntries(t, &pop, ref)
+				case op&8 != 0:
+					if err := pop.Replace(sortedEntries(ref.m)); err != nil {
+						t.Fatalf("Replace: %v", err)
 					}
 				}
 				check(addr)
 			}
+			if pop.Len() != len(ref.m) {
+				t.Fatalf("Len %d want %d", pop.Len(), len(ref.m))
+			}
 		}
-		flush()
 		for _, addr := range touched {
 			check(addr)
 		}
-		n := 0
-		pop.ForEach(func(p netaddr.Prefix, tag encoding.Tag) {
-			n++
-			if want, ok := ref.m[p]; !ok || want != tag {
-				t.Fatalf("ForEach yielded %s=%v, reference %v,%v", p, tag, want, ok)
-			}
-		})
-		if n != len(ref.m) {
-			t.Fatalf("ForEach yielded %d entries, reference %d", n, len(ref.m))
-		}
+		checkEntries(t, &pop, ref)
 	})
 }
 
 // fuzzLPMSeeds hand-builds op streams covering the structure's seams:
 // nested covers across the /16 stride, default-route expansion,
-// withdraw/re-announce cycles, and chunk-subtree collapse.
+// withdraw/re-announce cycles, chunk-subtree collapse and malformed
+// whole-table swaps.
 func fuzzLPMSeeds() [][]byte {
 	rec := func(op byte, addr uint32, length byte) []byte {
 		return []byte{op, byte(addr >> 24), byte(addr >> 16), byte(addr >> 8), byte(addr), length}
@@ -145,11 +116,15 @@ func fuzzLPMSeeds() [][]byte {
 		cat(rec(0, a, 24), rec(1, a, 24), rec(0, a, 24), rec(2, a, 0), rec(1, a, 24), rec(2, a, 0)),
 		// Wide-address ops (op&4 set): chunk 0xffff and chunk 0.
 		cat(rec(4, 0xffffffff, 32), rec(4, 0x00000001, 32), rec(6, 0xffffffff, 0), rec(6, 0x00000001, 0)),
-		// Batched mixed insert+delete flushed together.
+		// Mixed insert+delete, then a probe.
 		cat(rec(0, a, 20), rec(0, a, 22), rec(1, a, 20), rec(0, a, 28), rec(2, a, 0)),
 		// Whole-table swaps (op 11) between churn: grow, shrink to
-		// empty, regrow — every build after the first recycles the slab.
+		// empty, regrow — every swap after the first recycles the buffer.
 		cat(rec(0, a, 8), rec(0, a, 24), rec(0, a, 32), rec(11, a, 0), rec(0, a, 28), rec(1, a, 24),
 			rec(11, a, 0), rec(1, a, 8), rec(1, a, 32), rec(1, a, 28), rec(11, a, 0), rec(0, a, 16), rec(11, a, 0)),
+		// Raw-prefix swaps (op 26): length 40 and host bits rejected, a
+		// canonical /16 accepted, then rejected as a duplicate.
+		cat(rec(0, a, 8), rec(0, a, 24), rec(26, a, 40), rec(26, a, 8), rec(26, 0x0a010000, 16), rec(2, a, 0),
+			rec(26, 0x0a010000, 16), rec(1, 0x0a010000, 16), rec(2, a, 0)),
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // mapLPM is the brute-force longest-prefix-match reference: the
-// map-plus-length-scan structure the FIB used before the trie. It is
-// the model the property test pins Trie against.
+// map-plus-length-scan structure the FIB's first stage 1 was. It is
+// the model the property and fuzz tests pin Poptrie against.
 type mapLPM struct {
 	m       map[netaddr.Prefix]encoding.Tag
 	lengths [33]int
@@ -65,77 +65,63 @@ func sortedEntries(m map[netaddr.Prefix]encoding.Tag) []TagEntry {
 
 func te(p netaddr.Prefix, tag encoding.Tag) TagEntry { return TagEntry{Prefix: p, Tag: tag} }
 
-func TestTrieBasics(t *testing.T) {
-	var tr Trie
-	p8 := netaddr.MustParsePrefix("10.0.0.0/8")
-	p16 := netaddr.MustParsePrefix("10.1.0.0/16")
-	p24 := netaddr.MustParsePrefix("10.1.2.0/24")
-	def := netaddr.MustParsePrefix("0.0.0.0/0")
+// rawPrefix packs addr and length without masking or range checks —
+// the shape a corrupt or hand-made assignment can take.
+func rawPrefix(addr uint32, length int) netaddr.Prefix {
+	return netaddr.Prefix(uint64(addr)<<8 | uint64(length))
+}
 
-	if _, ok := tr.Lookup(0x0a010203); ok {
-		t.Fatal("empty trie matched")
-	}
-	if !tr.Insert(p8, 1) || !tr.Insert(p16, 2) || !tr.Insert(p24, 3) {
-		t.Fatal("fresh inserts reported as overwrites")
-	}
-	if tr.Insert(p16, 20) {
-		t.Fatal("overwrite reported as fresh")
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
-	}
-	for _, tc := range []struct {
-		addr uint32
-		tag  encoding.Tag
-		ok   bool
-	}{
-		{0x0a010203, 3, true},  // 10.1.2.3 -> /24
-		{0x0a010303, 20, true}, // 10.1.3.3 -> /16 (overwritten tag)
-		{0x0a020303, 1, true},  // 10.2.3.3 -> /8
-		{0x0b000001, 0, false}, // 11.0.0.1 -> none
-	} {
-		got, ok := tr.Lookup(tc.addr)
-		if ok != tc.ok || got != tc.tag {
-			t.Errorf("Lookup(%08x) = %v,%v want %v,%v", tc.addr, got, ok, tc.tag, tc.ok)
+// coverScan is the brute-force form of Poptrie.cover: the longest
+// reference prefix shorter than plen containing addr.
+func (r *mapLPM) coverScan(addr uint32, plen int) (encoding.Tag, uint8) {
+	for l := plen - 1; l >= 0; l-- {
+		for p, tag := range r.m {
+			if p.Len() == l && p.Contains(addr) {
+				return tag, uint8(l) + 1
+			}
 		}
 	}
-	// Default route catches everything.
-	tr.Insert(def, 9)
-	if got, ok := tr.Lookup(0x0b000001); !ok || got != 9 {
-		t.Errorf("default route: got %v,%v", got, ok)
+	return 0, 0
+}
+
+// checkEntries requires pt's ForEach to be strictly ascending and to
+// hold exactly the reference's contents, and Get to agree.
+func checkEntries(t testing.TB, pt *Poptrie, ref *mapLPM) {
+	t.Helper()
+	n := 0
+	var prev netaddr.Prefix
+	pt.ForEach(func(p netaddr.Prefix, tag encoding.Tag) {
+		if n > 0 && p <= prev {
+			t.Fatalf("ForEach not strictly ascending: %s after %s", p, prev)
+		}
+		prev = p
+		n++
+		if want, ok := ref.m[p]; !ok || want != tag {
+			t.Fatalf("ForEach yielded %s=%v, reference %v,%v", p, tag, want, ok)
+		}
+	})
+	if n != len(ref.m) || pt.Len() != len(ref.m) {
+		t.Fatalf("ForEach yielded %d entries, Len %d, reference %d", n, pt.Len(), len(ref.m))
 	}
-	if !tr.Delete(p16) || tr.Delete(p16) {
-		t.Fatal("delete/re-delete misbehaved")
-	}
-	if got, ok := tr.Lookup(0x0a010303); !ok || got != 1 {
-		t.Errorf("after /16 delete, 10.1.3.3 = %v,%v want 1,true", got, ok)
-	}
-	// Iterator order is ascending (addr, len).
-	var seen []netaddr.Prefix
-	tr.ForEach(func(p netaddr.Prefix, _ encoding.Tag) { seen = append(seen, p) })
-	want := []netaddr.Prefix{def, p8, p24}
-	if len(seen) != len(want) {
-		t.Fatalf("ForEach yielded %v", seen)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("ForEach order %v, want %v", seen, want)
+	for p, want := range ref.m {
+		if got, ok := pt.Get(p); !ok || got != want {
+			t.Fatalf("Get(%s) = %v,%v want %v,true", p, got, ok, want)
 		}
 	}
 }
 
-// TestTriePropertyVsReference drives the trie AND the poptrie read
-// path against the brute-force reference through long randomized
-// insert/delete/lookup sequences — tag overwrites, full
-// withdraw-then-re-announce cycles, whole-table Replace swaps and
-// batched ops — and requires the three structures to agree on every
-// observable after every (batch) operation.
+// TestTriePropertyVsReference drives the poptrie — sorted store and
+// lookup index — against the brute-force reference through long
+// randomized insert/delete/lookup sequences: tag overwrites, full
+// withdraw-then-re-announce cycles and whole-table Replace swaps. Every
+// Insert and Delete return, and Len, must agree after every operation;
+// lookups, batched lookups and the cover query are probed along the
+// way, and ForEach order and Get are checked at the end.
 func TestTriePropertyVsReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			var tr Trie
 			var pop Poptrie
 			ref := newMapLPM()
 
@@ -157,36 +143,36 @@ func TestTriePropertyVsReference(t *testing.T) {
 				}
 				pop.LookupBatch(addrs[:], batchTags[:], batchOK[:])
 				for i, addr := range addrs {
-					gt, gok := tr.Lookup(addr)
 					pt, pok := pop.Lookup(addr)
 					wt, wok := ref.Lookup(addr)
-					if gt != wt || gok != wok {
-						t.Fatalf("trie Lookup(%08x) = %v,%v want %v,%v", addr, gt, gok, wt, wok)
-					}
 					if pt != wt || pok != wok {
-						t.Fatalf("poptrie Lookup(%08x) = %v,%v want %v,%v", addr, pt, pok, wt, wok)
+						t.Fatalf("Lookup(%08x) = %v,%v want %v,%v", addr, pt, pok, wt, wok)
 					}
 					if batchTags[i] != wt || batchOK[i] != wok {
-						t.Fatalf("poptrie LookupBatch(%08x) = %v,%v want %v,%v", addr, batchTags[i], batchOK[i], wt, wok)
+						t.Fatalf("LookupBatch(%08x) = %v,%v want %v,%v", addr, batchTags[i], batchOK[i], wt, wok)
+					}
+					plen := rng.Intn(17)
+					ct, cl := pop.cover(addr, plen)
+					wct, wcl := ref.coverScan(addr, plen)
+					if ct != wct || cl != wcl {
+						t.Fatalf("cover(%08x, %d) = %v,%d want %v,%d", addr, plen, ct, cl, wct, wcl)
 					}
 				}
 			}
 			insert := func(step int, p netaddr.Prefix, tag encoding.Tag) {
-				got, pgot, want := tr.Insert(p, tag), pop.Insert(p, tag), ref.Insert(p, tag)
-				if got != want || pgot != want {
-					t.Fatalf("step %d: Insert(%s) fresh trie=%v pop=%v want %v", step, p, got, pgot, want)
+				if got, want := pop.Insert(p, tag), ref.Insert(p, tag); got != want {
+					t.Fatalf("step %d: Insert(%s) fresh=%v want %v", step, p, got, want)
 				}
 			}
 			remove := func(step int, p netaddr.Prefix) {
-				got, pgot, want := tr.Delete(p), pop.Delete(p), ref.Delete(p)
-				if got != want || pgot != want {
-					t.Fatalf("step %d: Delete(%s) trie=%v pop=%v want %v", step, p, got, pgot, want)
+				if got, want := pop.Delete(p), ref.Delete(p); got != want {
+					t.Fatalf("step %d: Delete(%s) = %v want %v", step, p, got, want)
 				}
 			}
 
 			for step := 0; step < 4000; step++ {
 				p := universe[rng.Intn(len(universe))]
-				switch rng.Intn(12) {
+				switch rng.Intn(11) {
 				case 0, 1, 2, 3, 4: // insert / overwrite
 					insert(step, p, encoding.Tag(rng.Intn(64)))
 				case 5, 6, 7: // delete (possibly absent)
@@ -201,114 +187,32 @@ func TestTriePropertyVsReference(t *testing.T) {
 					for _, q := range universe[:len(universe)/4] {
 						insert(step, q, encoding.Tag(rng.Intn(64)))
 					}
-				case 10: // batched churn: one InsertBatch + one DeleteBatch
-					entries := make([]TagEntry, 0, 8)
-					dels := make([]netaddr.Prefix, 0, 4)
-					for i := 0; i < 8; i++ {
-						entries = append(entries, TagEntry{Prefix: universe[rng.Intn(len(universe))], Tag: encoding.Tag(rng.Intn(64))})
-					}
-					for i := 0; i < 4; i++ {
-						dels = append(dels, universe[rng.Intn(len(universe))])
-					}
-					pfresh := pop.InsertBatch(entries)
-					fresh, wfresh := 0, 0
-					for _, e := range entries {
-						if tr.Insert(e.Prefix, e.Tag) {
-							fresh++
-						}
-						if ref.Insert(e.Prefix, e.Tag) {
-							wfresh++
-						}
-					}
-					if fresh != wfresh || pfresh != wfresh {
-						t.Fatalf("step %d: InsertBatch fresh trie=%d pop=%d want %d", step, fresh, pfresh, wfresh)
-					}
-					phit := pop.DeleteBatch(dels)
-					hit, whit := 0, 0
-					for _, q := range dels {
-						if tr.Delete(q) {
-							hit++
-						}
-						if ref.Delete(q) {
-							whit++
-						}
-					}
-					if hit != whit || phit != whit {
-						t.Fatalf("step %d: DeleteBatch hit trie=%d pop=%d want %d", step, hit, phit, whit)
-					}
-				case 11: // whole-table swap: the burst-end ReplaceTags path
-					snap := sortedEntries(ref.m)
-					if err := pop.Replace(snap); err != nil {
-						t.Fatalf("step %d: poptrie Replace: %v", step, err)
-					}
-					if err := tr.Replace(snap); err != nil {
-						t.Fatalf("step %d: trie Replace: %v", step, err)
+				case 10: // whole-table swap: the burst-end ReplaceTags path
+					if err := pop.Replace(sortedEntries(ref.m)); err != nil {
+						t.Fatalf("step %d: Replace: %v", step, err)
 					}
 				}
-				if tr.Len() != len(ref.m) || pop.Len() != len(ref.m) {
-					t.Fatalf("step %d: Len trie=%d pop=%d, reference %d", step, tr.Len(), pop.Len(), len(ref.m))
+				if pop.Len() != len(ref.m) {
+					t.Fatalf("step %d: Len %d, reference %d", step, pop.Len(), len(ref.m))
 				}
 				if step%64 == 0 {
 					probe()
 				}
 			}
 			probe()
-
-			// Exact-match view and iteration agree with the reference.
-			n := 0
-			tr.ForEach(func(p netaddr.Prefix, tag encoding.Tag) {
-				n++
-				if want, ok := ref.m[p]; !ok || want != tag {
-					t.Fatalf("ForEach yielded %s=%v, reference %v,%v", p, tag, want, ok)
-				}
-			})
-			if n != len(ref.m) {
-				t.Fatalf("ForEach yielded %d entries, reference %d", n, len(ref.m))
-			}
-			for p, want := range ref.m {
-				if got, ok := tr.Get(p); !ok || got != want {
-					t.Fatalf("Get(%s) = %v,%v want %v,true", p, got, ok, want)
-				}
-				if got, ok := pop.Get(p); !ok || got != want {
-					t.Fatalf("poptrie Get(%s) = %v,%v want %v,true", p, got, ok, want)
-				}
-			}
+			checkEntries(t, &pop, ref)
 		})
 	}
 }
 
-func TestPoptrieBatchOps(t *testing.T) {
-	var tr Poptrie
-	entries := []TagEntry{
-		{Prefix: netaddr.MustParsePrefix("10.0.0.0/8"), Tag: 1},
-		{Prefix: netaddr.MustParsePrefix("10.1.0.0/16"), Tag: 2},
-		{Prefix: netaddr.MustParsePrefix("10.1.0.0/16"), Tag: 3}, // overwrite within batch
-	}
-	if fresh := tr.InsertBatch(entries); fresh != 2 {
-		t.Fatalf("InsertBatch fresh = %d, want 2", fresh)
-	}
-	if got, _ := tr.Lookup(0x0a010000); got != 3 {
-		t.Fatalf("batch overwrite lost: got %v", got)
-	}
-	if hit := tr.DeleteBatch([]netaddr.Prefix{
-		netaddr.MustParsePrefix("10.1.0.0/16"),
-		netaddr.MustParsePrefix("10.9.0.0/16"), // absent
-	}); hit != 1 {
-		t.Fatalf("DeleteBatch hit = %d, want 1", hit)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
-	}
-}
-
-// TestReplaceEquivalentToInsert pins the single stage-1 build path
-// against per-entry Insert across consecutive Replace cycles of equal,
-// growing and shrinking size on ONE long-lived table — the case where
-// the recycled node slab could alias stale children. After every swap,
-// and again after random Insert/Delete/InsertBatch mutations on top of
-// it, the slab-built structures (bare Trie, Poptrie read path, FIB)
-// must agree with freshly insert-built ones on every observable: Len,
-// ForEach order, Get, Lookup, lookupMax and Dump.
+// TestReplaceEquivalentToInsert pins the bulk stage-1 build against
+// per-entry Insert across consecutive Replace cycles of equal, growing
+// and shrinking size on ONE long-lived FIB — the case where the
+// recycled entry buffer could keep stale entries or a stale index.
+// After every swap, and again after random SetTag/RemoveTag mutations
+// on top of it, the Replace-built FIB must agree with a freshly
+// insert-built one and with the reference on every observable: Len,
+// ForEach order, Get, Lookup, the cover query and Dump.
 func TestReplaceEquivalentToInsert(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -319,50 +223,35 @@ func TestReplaceEquivalentToInsert(t *testing.T) {
 		}
 		randTag := func() encoding.Tag { return encoding.Tag(1 + rng.Intn(1<<16)) }
 
-		bulk := &Trie{} // slab-built, recycled every cycle
-		fib := New(Config{})
-		var ref *Trie // insert-built, fresh every cycle
-		var refFIB *FIB
+		fib := New(Config{}) // Replace-built, recycled every cycle
+		var ref *mapLPM
+		var refFIB *FIB // insert-built, fresh every cycle
 		compare := func(when string) {
 			t.Helper()
-			if bulk.Len() != ref.Len() || fib.NumTags() != ref.Len() {
-				t.Fatalf("seed %d %s: Len bulk=%d fib=%d want %d", seed, when, bulk.Len(), fib.NumTags(), ref.Len())
+			checkEntries(t, &fib.stage1, ref)
+			if fib.Dump() != refFIB.Dump() {
+				t.Fatalf("seed %d %s: Dump differs from the insert-built FIB", seed, when)
 			}
-			var got, pgot, want []TagEntry
-			bulk.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { got = append(got, te(p, tag)) })
-			fib.stage1.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { pgot = append(pgot, te(p, tag)) })
-			ref.ForEach(func(p netaddr.Prefix, tag encoding.Tag) { want = append(want, te(p, tag)) })
-			for i := range want {
-				if got[i] != want[i] || pgot[i] != want[i] {
-					t.Fatalf("seed %d %s: ForEach[%d] bulk=%+v fib=%+v want %+v", seed, when, i, got[i], pgot[i], want[i])
-				}
-				bt, bok := bulk.Get(want[i].Prefix)
-				pt, pok := fib.stage1.Get(want[i].Prefix)
-				if !bok || !pok || bt != want[i].Tag || pt != want[i].Tag {
-					t.Fatalf("seed %d %s: Get(%v) bulk=%v,%v fib=%v,%v want %v", seed, when, want[i].Prefix, bt, bok, pt, pok, want[i].Tag)
-				}
-			}
+			want := fib.stage1.entries
 			for i := 0; i < 1000; i++ {
 				addr := uint32(rng.Intn(1 << 28))
 				if len(want) > 0 && i%2 == 0 {
 					addr = want[rng.Intn(len(want))].Prefix.Addr() | uint32(rng.Intn(1<<12))
 				}
 				rt, rok := ref.Lookup(addr)
-				bt, bok := bulk.Lookup(addr)
+				it, iok := refFIB.TagOf(addr)
 				pt, pok := fib.TagOf(addr)
-				if bt != rt || bok != rok || pt != rt || pok != rok {
-					t.Fatalf("seed %d %s: Lookup(%08x) bulk=%v,%v fib=%v,%v want %v,%v", seed, when, addr, bt, bok, pt, pok, rt, rok)
+				if it != rt || iok != rok || pt != rt || pok != rok {
+					t.Fatalf("seed %d %s: Lookup(%08x) insert-built=%v,%v bulk=%v,%v want %v,%v", seed, when, addr, it, iok, pt, pok, rt, rok)
 				}
-				maxBits := uint8(rng.Intn(33))
-				rt, rl := ref.lookupMax(addr, maxBits)
-				bt, bl := bulk.lookupMax(addr, maxBits)
-				pt, pl := fib.stage1.Trie().lookupMax(addr, maxBits)
-				if bt != rt || bl != rl || pt != rt || pl != rl {
-					t.Fatalf("seed %d %s: lookupMax(%08x,%d) bulk=%v,%d fib=%v,%d want %v,%d", seed, when, addr, maxBits, bt, bl, pt, pl, rt, rl)
+				if i%10 == 0 {
+					plen := rng.Intn(17)
+					ct, cl := fib.stage1.cover(addr, plen)
+					wt, wl := ref.coverScan(addr, plen)
+					if ct != wt || cl != wl {
+						t.Fatalf("seed %d %s: cover(%08x, %d) = %v,%d want %v,%d", seed, when, addr, plen, ct, cl, wt, wl)
+					}
 				}
-			}
-			if fib.Dump() != refFIB.Dump() {
-				t.Fatalf("seed %d %s: Dump differs from the insert-built FIB", seed, when)
 			}
 		}
 
@@ -373,50 +262,35 @@ func TestReplaceEquivalentToInsert(t *testing.T) {
 			}
 			entries := sortedEntries(set)
 			when := fmt.Sprintf("cycle %d (n=%d)", cycle, n)
-			if err := bulk.Replace(entries); err != nil {
-				t.Fatalf("seed %d %s: Trie.Replace: %v", seed, when, err)
-			}
 			if err := fib.ReplaceTags(entries); err != nil {
 				t.Fatalf("seed %d %s: ReplaceTags: %v", seed, when, err)
 			}
-			ref, refFIB = &Trie{}, New(Config{})
+			ref, refFIB = newMapLPM(), New(Config{})
 			for p, tag := range set {
 				ref.Insert(p, tag)
 				refFIB.SetTag(p, tag)
 			}
 			if cycle%2 == 1 {
-				// Leave the read path stale on odd cycles: mutations
-				// below then land on a dirty poptrie.
+				// Compare (and so rebuild the index) on odd cycles only:
+				// on even ones the mutations below land on a dirty index.
 				compare(when)
 			}
 
-			// Mutations on top of a slab-built table: heap nodes link
-			// into (and out of) slab nodes, deleted slab nodes collapse.
+			// Single-prefix writes on top of a Replace-built table.
 			for i := 0; i < 300; i++ {
 				p := randPrefix()
 				if len(entries) > 0 && rng.Intn(3) > 0 {
 					p = entries[rng.Intn(len(entries))].Prefix
 				}
-				switch rng.Intn(3) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					tag := randTag()
-					bulk.Insert(p, tag)
 					ref.Insert(p, tag)
 					fib.SetTag(p, tag)
 					refFIB.SetTag(p, tag)
-				case 1:
-					bulk.Delete(p)
+				} else {
 					ref.Delete(p)
 					fib.RemoveTag(p)
 					refFIB.RemoveTag(p)
-				case 2:
-					batch := []TagEntry{te(p, randTag()), te(randPrefix(), randTag()), te(randPrefix(), randTag())}
-					for _, e := range batch {
-						bulk.Insert(e.Prefix, e.Tag)
-						ref.Insert(e.Prefix, e.Tag)
-					}
-					fib.stage1.InsertBatch(batch)
-					refFIB.stage1.InsertBatch(batch)
 				}
 			}
 			compare(when + " after mutation")
@@ -424,33 +298,54 @@ func TestReplaceEquivalentToInsert(t *testing.T) {
 	}
 }
 
-// TestReplaceRejectsUnsorted pins the strictly-ascending precondition:
-// unsorted or duplicate input is an error and leaves the table as it
-// was.
+// TestReplaceRejectsUnsorted pins the stage-1 input check: an
+// assignment that is unsorted, duplicated, or holds a prefix longer
+// than 32 bits or with host bits set is an error through ReplaceTags
+// and Restore, and leaves the table as it was — in particular no
+// malformed entry may surface as a cover of unrelated addresses.
 func TestReplaceRejectsUnsorted(t *testing.T) {
 	p8, p16 := netaddr.MustParsePrefix("10.0.0.0/8"), netaddr.MustParsePrefix("10.1.0.0/16")
-	var tr Trie
-	if err := tr.Replace([]TagEntry{te(p16, 1), te(p8, 2)}); err == nil {
-		t.Fatal("unsorted input accepted")
+	var pt Poptrie
+	if err := pt.Replace(nil); err != nil || pt.Len() != 0 {
+		t.Fatalf("empty input: %v, len %d", err, pt.Len())
 	}
-	if err := tr.Replace([]TagEntry{te(p8, 1), te(p8, 2)}); err == nil {
-		t.Fatal("duplicate input accepted")
+	if err := pt.Replace([]TagEntry{te(netaddr.MustParsePrefix("0.0.0.0/0"), 1), te(p8, 2)}); err != nil {
+		t.Fatalf("default route rejected: %v", err)
 	}
-	if err := tr.Replace(nil); err != nil || tr.Len() != 0 {
-		t.Fatalf("empty input: %v, len %d", err, tr.Len())
-	}
-	f := New(Config{})
-	if err := f.ReplaceTags([]TagEntry{te(p8, 1), te(p16, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	before, writes := f.Dump(), f.Writes()
-	if err := f.ReplaceTags([]TagEntry{te(p16, 3), te(p8, 4)}); err == nil {
-		t.Fatal("ReplaceTags accepted unsorted input")
-	}
-	if f.Dump() != before || f.Writes() != writes {
-		t.Fatal("rejected ReplaceTags changed the FIB")
-	}
-	if got, ok := f.TagOf(0x0a010203); !ok || got != 2 {
-		t.Fatalf("after rejected swap: TagOf = %v,%v want 2", got, ok)
+	for _, tc := range []struct {
+		name string
+		tags []TagEntry
+	}{
+		{"unsorted", []TagEntry{te(p16, 3), te(p8, 4)}},
+		{"duplicate", []TagEntry{te(p8, 3), te(p8, 4)}},
+		{"len33", []TagEntry{te(p8, 3), te(rawPrefix(0x0a010000, 33), 4)}},
+		{"len40", []TagEntry{te(rawPrefix(0xc0a80000, 40), 4)}},
+		{"hostbits", []TagEntry{te(rawPrefix(0x0a010203, 8), 4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if encoding.CheckTags(tc.tags) == nil {
+				t.Fatal("CheckTags accepted the input")
+			}
+			f := New(Config{})
+			if err := f.ReplaceTags([]TagEntry{te(p8, 1), te(p16, 2)}); err != nil {
+				t.Fatal(err)
+			}
+			before, writes := f.Dump(), f.Writes()
+			if err := f.ReplaceTags(tc.tags); err == nil {
+				t.Fatal("ReplaceTags accepted the input")
+			}
+			if f.Dump() != before || f.Writes() != writes {
+				t.Fatal("rejected ReplaceTags changed the FIB")
+			}
+			if got, ok := f.TagOf(0x0a010203); !ok || got != 2 {
+				t.Fatalf("after rejected swap: TagOf(10.1.2.3) = %v,%v want 2", got, ok)
+			}
+			if _, ok := f.TagOf(0xc0a80001); ok {
+				t.Fatal("after rejected swap: 192.168.0.1 matches")
+			}
+			if _, err := Restore(Config{}, FIBImage{Tags: tc.tags}); err == nil {
+				t.Fatal("Restore accepted the input")
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"cmp"
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -8,31 +10,41 @@ import (
 	"swift/internal/netaddr"
 )
 
-// Poptrie is the lookup-optimized stage-1 LPM structure: a DIR-24-8 /
-// poptrie hybrid fronting the authoritative compressed binary Trie.
+// TagEntry is one stage-1 rule — the compiler's own type, so a
+// scheme's sorted assignment reaches the table without conversion.
+type TagEntry = encoding.TagAssignment
+
+// Poptrie is the stage-1 LPM table: a strictly ascending slice of tag
+// entries that is the table itself, indexed for lookup by a DIR-24-8 /
+// poptrie hybrid.
 //
-// The read path is a 16-bit-stride direct-index root array — one probe
-// resolves every prefix of length <= 16 — whose entries point, for
-// chunks holding a >/16 tail, into compressed popcount-indexed stride-6
-// nodes (two 64-bit occupancy vectors per node, children and pushed
-// leaf tags stored densely and addressed by popcount), so a /32 hit
-// costs the root probe plus at most three node hops and a miss rejects
-// at the first empty vector. The trie remains the ordered store: exact
-// match, iteration and the deterministic Dump contract delegate to it,
-// and it is the oracle consulted when deleting a short prefix exposes
-// the next-best cover for a root slot.
+// The slice serves everything ordered or exact — Len, Get by binary
+// search, ForEach and so the deterministic Dump and Export — and is
+// the form every whole-table write takes: Replace validates an
+// assignment and copies it into the recycled buffer.
 //
-// Updates are incremental, mirrored from the trie's insert/delete path:
-// a long prefix repaints one node's 64 leaf slots from the node-local
-// prefix set, a short prefix touches its 2^(16-len) root slots, and a
-// whole-table swap (Replace) just marks the read path dirty so the next
-// lookup rebuilds it in one pass — burst-end re-provisioning pays
-// nothing until the table is actually read.
+// The read index is a 16-bit-stride direct-index root array — one
+// probe resolves every prefix of length <= 16 — whose entries point,
+// for chunks holding a >/16 tail, into compressed popcount-indexed
+// stride-6 nodes (two 64-bit occupancy vectors per node, children and
+// pushed leaf tags stored densely and addressed by popcount), so a /32
+// hit costs the root probe plus at most three node hops and a miss
+// rejects at the first empty vector.
 //
-// The zero value is an empty structure ready for use. Like the Trie it
-// fronts, a Poptrie is not safe for concurrent use.
+// Single-prefix writes (Insert, Delete) shift the slice in place and
+// mirror into the index incrementally: a long prefix repaints one
+// node's 64 leaf slots from the node-local prefix set, a short prefix
+// touches its 2^(16-len) root slots, and deleting a short prefix
+// exposes the next-best cover the slice reports. Replace only marks the
+// index dirty, so the next lookup rebuilds it in one pass over the
+// slice — burst-end re-provisioning pays nothing until the table is
+// actually read.
+//
+// The zero value is an empty table ready for use. A Poptrie is not
+// safe for concurrent use.
 type Poptrie struct {
-	trie Trie
+	// entries is the table, strictly ascending by prefix.
+	entries []TagEntry
 
 	// rootLeaf[s] is the tag of the longest <=16-bit prefix covering
 	// chunk s when no node exists for s; rootNode[s], when non-nil, is
@@ -41,8 +53,8 @@ type Poptrie struct {
 	rootLeaf []rootLeaf
 	rootNode []*popNode
 
-	// dirty marks the read path stale after Replace; the next lookup
-	// rebuilds it from the trie.
+	// dirty marks the index stale after Replace; the next lookup
+	// rebuilds it from entries.
 	dirty bool
 }
 
@@ -80,76 +92,80 @@ type localPfx struct {
 	tag encoding.Tag
 }
 
+// search returns pfx's position in entries: its index when present,
+// else where it would be inserted.
+func (p *Poptrie) search(pfx netaddr.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(p.entries, pfx, func(e TagEntry, q netaddr.Prefix) int {
+		return cmp.Compare(e.Prefix, q)
+	})
+}
+
 // Len returns the number of tagged prefixes.
-func (p *Poptrie) Len() int { return p.trie.Len() }
+func (p *Poptrie) Len() int { return len(p.entries) }
 
 // Get returns the tag stored exactly at pfx (no LPM).
-func (p *Poptrie) Get(pfx netaddr.Prefix) (encoding.Tag, bool) { return p.trie.Get(pfx) }
+func (p *Poptrie) Get(pfx netaddr.Prefix) (encoding.Tag, bool) {
+	i, ok := p.search(pfx)
+	if !ok {
+		return 0, false
+	}
+	return p.entries[i].Tag, true
+}
 
-// ForEach visits every tagged prefix in ascending netaddr order — the
-// trie's deterministic iteration, unchanged by the read structure.
-func (p *Poptrie) ForEach(fn func(pfx netaddr.Prefix, tag encoding.Tag)) { p.trie.ForEach(fn) }
-
-// Trie exposes the authoritative ordered store (read-only use). The
-// next Replace recycles its node memory: do not keep a copy across one.
-func (p *Poptrie) Trie() *Trie { return &p.trie }
+// ForEach visits every tagged prefix in ascending netaddr order
+// (address, then length — a covering prefix before the more specific
+// prefixes beneath it).
+func (p *Poptrie) ForEach(fn func(pfx netaddr.Prefix, tag encoding.Tag)) {
+	for _, e := range p.entries {
+		fn(e.Prefix, e.Tag)
+	}
+}
 
 // Insert sets pfx's tag, returning true when pfx was not present
-// before, and mirrors the write into the read path.
+// before, and mirrors the write into the index. pfx must be canonical,
+// as netaddr.MakePrefix builds it. A fresh prefix shifts the entries
+// after it: O(n), which the stage-1 writers that use it — tables of a
+// few hundred prefixes — never notice.
 func (p *Poptrie) Insert(pfx netaddr.Prefix, tag encoding.Tag) bool {
-	fresh := p.trie.Insert(pfx, tag)
+	i, found := p.search(pfx)
+	if found {
+		p.entries[i].Tag = tag
+	} else {
+		p.entries = slices.Insert(p.entries, i, TagEntry{Prefix: pfx, Tag: tag})
+	}
 	if !p.dirty {
 		p.ensure()
 		p.insertRead(pfx.Addr(), pfx.Len(), tag, true)
 	}
-	return fresh
+	return !found
 }
 
 // Delete removes pfx's tag, reporting whether it was present.
 func (p *Poptrie) Delete(pfx netaddr.Prefix) bool {
-	if !p.trie.Delete(pfx) {
+	i, found := p.search(pfx)
+	if !found {
 		return false
 	}
+	p.entries = slices.Delete(p.entries, i, i+1)
 	if !p.dirty && p.rootLeaf != nil {
 		p.deleteRead(pfx.Addr(), pfx.Len())
 	}
 	return true
 }
 
-// InsertBatch applies a batch of tag writes and returns how many were
-// new.
-func (p *Poptrie) InsertBatch(entries []TagEntry) int {
-	fresh := 0
-	for _, e := range entries {
-		if p.Insert(e.Prefix, e.Tag) {
-			fresh++
-		}
-	}
-	return fresh
-}
-
-// DeleteBatch removes a batch of prefixes and returns how many were
-// present.
-func (p *Poptrie) DeleteBatch(ps []netaddr.Prefix) int {
-	hit := 0
-	for _, pfx := range ps {
-		if p.Delete(pfx) {
-			hit++
-		}
-	}
-	return hit
-}
-
-// Replace swaps in a complete table bulk-built from entries, which
-// must be in strictly ascending prefix order (see Trie.Replace; on
-// error nothing changes). It serves provision, re-provision and warm
-// restart alike. The read path is only marked stale: the table serves
-// Get/ForEach/Dump immediately and the next lookup rebuilds the read
-// structure in one ordered pass.
+// Replace swaps in a complete table. entries must pass
+// encoding.CheckTags — canonical prefixes in strictly ascending order,
+// as encoding.Scheme.Tags, Export and ForEach emit them; anything else
+// is rejected with the table untouched. It serves provision,
+// re-provision and warm restart alike: the entries are copied into the
+// previous table's buffer, so a Replace that fits it allocates nothing,
+// and entries is only read during the call. The index is only marked
+// stale: the next lookup rebuilds it in one ordered pass.
 func (p *Poptrie) Replace(entries []TagEntry) error {
-	if err := p.trie.Replace(entries); err != nil {
-		return err
+	if err := encoding.CheckTags(entries); err != nil {
+		return fmt.Errorf("dataplane: replace: %w", err)
 	}
+	p.entries = append(p.entries[:0], entries...)
 	p.dirty = true
 	return nil
 }
@@ -231,17 +247,17 @@ func (p *Poptrie) ensure() {
 	}
 }
 
-// rebuild reconstructs the read path from the trie in one ordered
-// pass: locals are collected unpainted and every node is painted once
-// at the end, instead of once per prefix landing in it.
+// rebuild reconstructs the index from entries in one ordered pass:
+// locals are collected unpainted and every node is painted once at the
+// end, instead of once per prefix landing in it.
 func (p *Poptrie) rebuild() {
 	p.dirty = false
 	p.ensure()
 	clear(p.rootLeaf)
 	clear(p.rootNode)
-	p.trie.ForEach(func(pfx netaddr.Prefix, tag encoding.Tag) {
-		p.insertRead(pfx.Addr(), pfx.Len(), tag, false)
-	})
+	for _, e := range p.entries {
+		p.insertRead(e.Prefix.Addr(), e.Prefix.Len(), e.Tag, false)
+	}
 	for _, n := range p.rootNode {
 		if n != nil {
 			n.repaintAll()
@@ -298,8 +314,8 @@ func (p *Poptrie) insertShort(addr uint32, plen int, tag encoding.Tag) {
 	}
 }
 
-// deleteRead mirrors one delete; the trie (already updated) supplies
-// the next-best cover where a short prefix was the visible one.
+// deleteRead mirrors one delete; entries (already updated) supply the
+// next-best cover where a short prefix was the visible one.
 func (p *Poptrie) deleteRead(addr uint32, plen int) {
 	if plen <= 16 {
 		p.deleteShort(addr, plen)
@@ -320,21 +336,35 @@ func (p *Poptrie) deleteRead(addr uint32, plen int) {
 // deleteShort withdraws a <=16-bit prefix: every slot it was the
 // visible cover of (cover length equal — a slot cannot be covered by
 // two distinct prefixes of one length) falls back to the next-best
-// cover the already-updated trie reports.
+// cover. No slot it was visible in has a cover longer than plen within
+// 16 bits, and every shorter cover of such a slot covers the whole
+// prefix, so that cover is one and the same for all of them.
 func (p *Poptrie) deleteShort(addr uint32, plen int) {
 	l := uint8(plen) + 1
+	tag, nl := p.cover(addr, plen)
 	lo := addr >> 16
 	hi := lo + 1<<(16-plen)
 	for s := lo; s < hi; s++ {
 		if n := p.rootNode[s]; n != nil {
 			if n.defLen == l {
-				n.defTag, n.defLen = p.trie.lookupMax(s<<16, 16)
+				n.defTag, n.defLen = tag, nl
 			}
 		} else if p.rootLeaf[s].l == l {
-			tag, nl := p.trie.lookupMax(s<<16, 16)
 			p.rootLeaf[s] = rootLeaf{tag: tag, l: nl}
 		}
 	}
+}
+
+// cover returns the longest stored prefix shorter than plen bits that
+// contains addr, its length encoded as the root covers are (length+1,
+// 0 for none): at most plen exact searches of entries.
+func (p *Poptrie) cover(addr uint32, plen int) (encoding.Tag, uint8) {
+	for l := plen - 1; l >= 0; l-- {
+		if i, ok := p.search(netaddr.MakePrefix(addr, l)); ok {
+			return p.entries[i].Tag, uint8(l) + 1
+		}
+	}
+	return 0, 0
 }
 
 // deleteLong removes the prefix (key left-aligned, rem bits remaining)

@@ -5,16 +5,15 @@ import (
 	"time"
 
 	"swift/internal/encoding"
-	"swift/internal/netaddr"
 )
 
-// Warm-restart image for the two-stage FIB. Stage 1 exports in the
-// trie's deterministic ascending-prefix order (the Dump order), stage 2
-// verbatim in match order, and the write accounting rides along so a
-// restored FIB reports the same modeled update cost it had accrued —
-// restoring is not charged as rule writes, because the hardware table
-// this models would be repopulated from the saved state, not rebuilt
-// through the per-rule update path being metered.
+// Warm-restart image for the two-stage FIB. Stage 1 exports its sorted
+// entries as they are (the Dump order), stage 2 verbatim in match
+// order, and the write accounting rides along so a restored FIB
+// reports the same modeled update cost it had accrued — restoring is
+// not charged as rule writes, because the hardware table this models
+// would be repopulated from the saved state, not rebuilt through the
+// per-rule update path being metered.
 
 // FIBImage is a FIB's complete forwarding state.
 type FIBImage struct {
@@ -27,16 +26,12 @@ type FIBImage struct {
 // Export captures the FIB. Tags come out in ascending prefix order,
 // rules in match order, so the image is canonical.
 func (f *FIB) Export() FIBImage {
-	img := FIBImage{
-		Tags:    make([]TagEntry, 0, f.stage1.Len()),
+	return FIBImage{
+		Tags:    append(make([]TagEntry, 0, f.stage1.Len()), f.stage1.entries...),
 		Rules:   append([]encoding.Rule(nil), f.stage2...),
 		Writes:  f.writes,
 		Elapsed: f.elapsed,
 	}
-	f.stage1.ForEach(func(p netaddr.Prefix, t encoding.Tag) {
-		img.Tags = append(img.Tags, TagEntry{Prefix: p, Tag: t})
-	})
-	return img
 }
 
 // Restore builds a FIB from an image without charging writes.

@@ -82,6 +82,25 @@ type TagAssignment struct {
 	Tag    Tag
 }
 
+// CheckTags reports whether ts is a well-formed stage-1 assignment:
+// every prefix canonical, as netaddr.MakePrefix builds it (length at
+// most 32, no address bits set past the length; 0.0.0.0/0 is fine),
+// and the slice strictly ascending. Every assignment that may arrive
+// from outside Build, from a snapshot or a caller, passes this one
+// check before a table adopts it. Callers wrap the error with the
+// operation that failed.
+func CheckTags(ts []TagAssignment) error {
+	for i, t := range ts {
+		if p := t.Prefix; p != netaddr.MakePrefix(p.Addr(), p.Len()) {
+			return fmt.Errorf("stage-1 tag prefix %#x (%v) malformed at %d", uint64(p), p, i)
+		}
+		if i > 0 && t.Prefix <= ts[i-1].Prefix {
+			return fmt.Errorf("stage-1 tags not strictly ascending at %v", t.Prefix)
+		}
+	}
+	return nil
+}
+
 // group describes one bit field inside the tag.
 type group struct {
 	shift uint // bits to the right of the field

@@ -143,7 +143,7 @@ func TestTagStability(t *testing.T) {
 // order): Tags() is strictly ascending and covers the table, TagFor
 // agrees with a reference map built from it and misses what is absent,
 // and Export → RestoreScheme → Export reproduces the image exactly,
-// with unsorted or duplicate tags refused.
+// with unsorted, duplicate or malformed tags refused.
 func TestTagsSortedCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 12; trial++ {
@@ -212,6 +212,15 @@ func TestTagsSortedCanonical(t *testing.T) {
 			bad.Tags[breakAt[0]] = bad.Tags[breakAt[1]]
 			if _, err := RestoreScheme(bad); err == nil {
 				t.Fatalf("trial %d: RestoreScheme accepted non-ascending tags", trial)
+			}
+		}
+		// Malformed prefixes — length 33, length 40, host bits — that
+		// still sort before every table prefix (all above 5.160.0.0).
+		for _, raw := range []netaddr.Prefix{0x00010000<<8 | 33, 0x00100000<<8 | 40, 0x00010203<<8 | 8} {
+			bad := img
+			bad.Tags = append([]TagAssignment{{Prefix: raw, Tag: 1}}, img.Tags...)
+			if _, err := RestoreScheme(bad); err == nil {
+				t.Fatalf("trial %d: RestoreScheme accepted malformed tag %#x", trial, uint64(raw))
 			}
 		}
 	}

@@ -129,10 +129,8 @@ func RestoreScheme(img SchemeImage) (*Scheme, error) {
 		s.nhASes[nv.Value] = nv.AS
 	}
 	s.layout()
-	for i := 1; i < len(img.Tags); i++ {
-		if img.Tags[i].Prefix <= img.Tags[i-1].Prefix {
-			return nil, fmt.Errorf("encoding: restore: tags not ascending at %v", img.Tags[i].Prefix)
-		}
+	if err := CheckTags(img.Tags); err != nil {
+		return nil, fmt.Errorf("encoding: restore: %w", err)
 	}
 	return s, nil
 }

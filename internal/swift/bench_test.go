@@ -223,8 +223,8 @@ func TestApplySteadyStateZeroAllocInstrumented(t *testing.T) {
 }
 
 // TestReprovisionAllocs pins the cost of the burst-end fallback: a full
-// recompile (plan, scheme, sorted tag assignment, stage-1 bulk build
-// into the previous table's slab) of a 20k-prefix peer allocates a few
+// recompile (plan, scheme, sorted tag assignment, stage-1 copy into
+// the previous table's buffer) of a 20k-prefix peer allocates a few
 // hundred objects — dictionaries and a handful of table-sized slices —
 // not two per prefix.
 func TestReprovisionAllocs(t *testing.T) {

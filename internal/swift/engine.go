@@ -323,7 +323,7 @@ func (e *Engine) provision(at time.Duration, fallback bool) error {
 		return err
 	}
 	// The scheme's sorted tag assignment is handed to the FIB wholesale,
-	// which bulk-builds stage 1 from it into the previous table's slab.
+	// which copies it into the previous stage-1 table's buffer.
 	// The primary rule is replaced, not stacked: a fallback pass
 	// re-derives it, and leaving the previous one in stage 2 would grow
 	// the table by one duplicate per burst.
