@@ -65,6 +65,69 @@ func sortedEntries(m map[netaddr.Prefix]encoding.Tag) []TagEntry {
 
 func te(p netaddr.Prefix, tag encoding.Tag) TagEntry { return TagEntry{Prefix: p, Tag: tag} }
 
+// TestTrieBasics pins the stage-1 table's map contract: fresh inserts
+// and overwrites are told apart, Len counts prefixes, lookups take the
+// longest match, delete then re-delete reports true then false, and
+// ForEach walks in ascending (addr, len) order.
+func TestTrieBasics(t *testing.T) {
+	var tr Poptrie
+	p8 := netaddr.MustParsePrefix("10.0.0.0/8")
+	p16 := netaddr.MustParsePrefix("10.1.0.0/16")
+	p24 := netaddr.MustParsePrefix("10.1.2.0/24")
+	def := netaddr.MustParsePrefix("0.0.0.0/0")
+
+	if _, ok := tr.Lookup(0x0a010203); ok {
+		t.Fatal("empty trie matched")
+	}
+	if !tr.Insert(p8, 1) || !tr.Insert(p16, 2) || !tr.Insert(p24, 3) {
+		t.Fatal("fresh inserts reported as overwrites")
+	}
+	if tr.Insert(p16, 20) {
+		t.Fatal("overwrite reported as fresh")
+	}
+	if tr.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", tr.Len())
+	}
+	for _, tc := range []struct {
+		addr uint32
+		tag  encoding.Tag
+		ok   bool
+	}{
+		{0x0a010203, 3, true},  // 10.1.2.3 -> /24
+		{0x0a010303, 20, true}, // 10.1.3.3 -> /16 (overwritten tag)
+		{0x0a020303, 1, true},  // 10.2.3.3 -> /8
+		{0x0b000001, 0, false}, // 11.0.0.1 -> none
+	} {
+		got, ok := tr.Lookup(tc.addr)
+		if ok != tc.ok || got != tc.tag {
+			t.Errorf("Lookup(%08x) = %v,%v want %v,%v", tc.addr, got, ok, tc.tag, tc.ok)
+		}
+	}
+	// Default route catches everything.
+	tr.Insert(def, 9)
+	if got, ok := tr.Lookup(0x0b000001); !ok || got != 9 {
+		t.Errorf("default route: got %v,%v", got, ok)
+	}
+	if !tr.Delete(p16) || tr.Delete(p16) {
+		t.Fatal("delete/re-delete misbehaved")
+	}
+	if got, ok := tr.Lookup(0x0a010303); !ok || got != 1 {
+		t.Errorf("after /16 delete, 10.1.3.3 = %v,%v want 1,true", got, ok)
+	}
+	// Iterator order is ascending (addr, len).
+	var seen []netaddr.Prefix
+	tr.ForEach(func(p netaddr.Prefix, _ encoding.Tag) { seen = append(seen, p) })
+	want := []netaddr.Prefix{def, p8, p24}
+	if len(seen) != len(want) {
+		t.Fatalf("ForEach yielded %v", seen)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("ForEach order %v, want %v", seen, want)
+		}
+	}
+}
+
 // rawPrefix packs addr and length without masking or range checks —
 // the shape a corrupt or hand-made assignment can take.
 func rawPrefix(addr uint32, length int) netaddr.Prefix {
