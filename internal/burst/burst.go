@@ -221,7 +221,7 @@ func (d *Detector) evict(at time.Duration) {
 		d.head++
 	}
 	if d.head > 1024 && d.head*2 > len(d.times) {
-		d.times = append([]time.Duration(nil), d.times[d.head:]...)
+		d.times = d.times[:copy(d.times, d.times[d.head:])]
 		d.head = 0
 	}
 }

@@ -24,6 +24,26 @@ func TestDetectorStartsOnDenseWindow(t *testing.T) {
 	}
 }
 
+// TestDetectorSteadyStreamAllocs: a steady withdrawal stream of 10,000
+// per run compacts the window ring several times (each time more than
+// 1,024 evicted entries make up over half of it), and compaction reuses
+// the ring's array, so once warm nothing allocates.
+func TestDetectorSteadyStreamAllocs(t *testing.T) {
+	d := NewDetector(Config{}, nil)
+	at := time.Duration(0)
+	step := DefaultWindow / 1500 // ~1,500 withdrawals in the window
+	stream := func() {
+		for i := 0; i < 10_000; i++ {
+			at += step
+			d.ObserveWithdrawal(at)
+		}
+	}
+	stream()
+	if allocs := testing.AllocsPerRun(10, stream); allocs != 0 {
+		t.Errorf("10,000 steady withdrawals allocate %v objects, want 0", allocs)
+	}
+}
+
 func TestDetectorIgnoresSparseStream(t *testing.T) {
 	d := NewDetector(Config{StartThreshold: 10, StopThreshold: 2}, nil)
 	// One withdrawal per minute: the 10s window never fills.

@@ -230,25 +230,33 @@ func (s *Scheme) buildLinkDicts(table *rib.Table) {
 	}
 	// Load per (link, depth) pair: a link may appear at several depths.
 	// One pass per unique path, charging its whole prefix group at
-	// once: the positional decomposition is a path property.
-	loads := make(map[topology.Link][]int) // per link, count at each depth
+	// once: the positional decomposition is a path property. Each link
+	// owns one row of MaxDepth-1 counters in the flat loads slice, at
+	// the offset off maps it to; links lists the rows in order.
+	rowLen := s.cfg.MaxDepth - 1
+	zeroRow := make([]int, rowLen)
+	off := make(map[topology.Link]int)
+	var loads []int
+	var links []topology.Link
 	var buf []topology.Link
 	local := table.LocalAS()
 	table.ForEachPath(func(path []uint32, prefixes []netaddr.Prefix) {
 		buf = rib.PathLinks(buf[:0], local, path)
 		for d := 2; d <= s.cfg.MaxDepth && d <= len(buf); d++ {
 			l := buf[d-1]
-			arr := loads[l]
-			if arr == nil {
-				arr = make([]int, s.cfg.MaxDepth-1)
-				loads[l] = arr
+			o, ok := off[l]
+			if !ok {
+				o = len(loads)
+				off[l] = o
+				loads = append(loads, zeroRow...)
+				links = append(links, l)
 			}
-			arr[d-2] += len(prefixes)
+			loads[o+d-2] += len(prefixes)
 		}
 	})
 	var cands []cand
-	for l, arr := range loads {
-		for di, n := range arr {
+	for i, l := range links {
+		for di, n := range loads[i*rowLen : (i+1)*rowLen] {
 			if n >= s.cfg.MinPrefixes {
 				cands = append(cands, cand{link: l, depth: di + 2, load: n})
 			}

@@ -58,6 +58,28 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildAllocsFlatInLinks: the per-link load counters live in one
+// flat slice, so Build's allocation count grows with the number of
+// distinct links only through slice and map doubling, not once per
+// link.
+func TestBuildAllocsFlatInLinks(t *testing.T) {
+	allocs := func(links int) float64 {
+		table := rib.New(1)
+		for i := 0; i < links; i++ {
+			table.Announce(netaddr.PrefixFor(uint32(100+i), 0), []uint32{2, uint32(1000 + i)})
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Build(Default(), table, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	if large-small >= 32 {
+		t.Errorf("Build allocates %v objects over 100 depth-2 links and %v over 1,000; want a difference < 32", small, large)
+	}
+}
+
 func TestTagsDistinguishPaths(t *testing.T) {
 	cfg := Default()
 	cfg.MinPrefixes = 100

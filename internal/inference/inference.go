@@ -9,7 +9,10 @@
 // per-LinkID counter, withdrawn prefixes are grouped per PathID, and
 // every set union the aggregation step needs is computed by testing the
 // handful of unique paths against the link set instead of folding
-// per-prefix hash sets. Steady-state observation allocates nothing.
+// per-prefix hash sets. Steady-state observation allocates nothing, and
+// neither does a new burst whose withdrawals land on other paths than
+// the last one's: Reset parks the emptied prefix groups, and the next
+// burst's groups take their arrays whatever PathIDs they start on.
 package inference
 
 import (
@@ -104,12 +107,18 @@ type Tracker struct {
 
 	// wPaths holds one owned reference per unique path withdrawn this
 	// burst, pinning its PathID for the burst's lifetime; wByPath groups
-	// the withdrawn prefixes by that PathID (slices are truncated, not
-	// dropped, on Reset). Set unions over withdrawn prefixes — the
-	// multi-link aggregation of §4.2 — test each of these few paths
-	// against the link set and sum group sizes.
+	// the withdrawn prefixes by that PathID. Set unions over withdrawn
+	// prefixes — the multi-link aggregation of §4.2 — test each of these
+	// few paths against the link set and sum group sizes.
+	//
+	// Reset truncates the groups in place and pushes their ids on
+	// parked. A group first touched on a slot with no capacity takes
+	// the array of the newest parked group still empty, so the next
+	// burst's groups, which land on other PathIDs, reuse this burst's
+	// arrays instead of growing new ones.
 	wPaths  []rib.PathHandle
-	wByPath [][]netaddr.Prefix
+	wByPath []wGroup
+	parked  []rib.PathID
 
 	// wSeen records each withdrawn prefix's path; multi lists, for the
 	// rare prefix withdrawn more than once in a burst (path exploration:
@@ -145,6 +154,13 @@ type Tracker struct {
 	// scratch
 	idBuf []rib.LinkID
 	set   rib.LinkSet
+}
+
+// wGroup is one PathID's withdrawn prefixes; parked is set while the
+// id sits on the tracker's parked stack (at most once).
+type wGroup struct {
+	prefixes []netaddr.Prefix
+	parked   bool
 }
 
 // NewTracker wraps a session RIB and registers itself as the table's
@@ -194,15 +210,21 @@ func (t *Tracker) Received() int { return t.totalW }
 
 // Reset clears burst state (on burst end, or after rerouting when BGP
 // has reconverged), reusing every buffer: counters are zeroed through
-// the touched lists, prefix groups are truncated in place, and the
-// held path references go back to the pool.
+// the touched lists, prefix groups are truncated in place and parked
+// for the next burst, and the held path references go back to the
+// pool.
 func (t *Tracker) Reset() {
 	for _, id := range t.wLinks {
 		t.wCount[id] = 0
 	}
 	t.wLinks = t.wLinks[:0]
 	for _, h := range t.wPaths {
-		t.wByPath[h.ID()] = t.wByPath[h.ID()][:0]
+		g := &t.wByPath[h.ID()]
+		g.prefixes = g.prefixes[:0]
+		if !g.parked {
+			g.parked = true
+			t.parked = append(t.parked, h.ID())
+		}
 		t.rib.ReleaseHandle(h)
 	}
 	t.wPaths = t.wPaths[:0]
@@ -242,16 +264,20 @@ func (t *Tracker) ObserveWithdraw(p netaddr.Prefix) {
 	}
 	pid := int(h.ID())
 	if pid >= len(t.wByPath) {
-		grown := make([][]netaddr.Prefix, pid+1+pid/2)
+		grown := make([]wGroup, pid+1+pid/2)
 		copy(grown, t.wByPath)
 		t.wByPath = grown
 	}
-	if len(t.wByPath[pid]) == 0 {
+	g := &t.wByPath[pid]
+	if len(g.prefixes) == 0 {
 		t.wPaths = append(t.wPaths, h) // first touch: keep the reference
+		if cap(g.prefixes) == 0 {
+			g.prefixes = t.takeParked()
+		}
 	} else {
 		t.rib.ReleaseHandle(h) // burst already holds one
 	}
-	t.wByPath[pid] = append(t.wByPath[pid], p)
+	g.prefixes = append(g.prefixes, p)
 
 	// Duplicate-withdrawal bookkeeping for exact unions. First-withdrawal
 	// is the overwhelmingly common case, so it pays exactly one flat-map
@@ -265,6 +291,23 @@ func (t *Tracker) ObserveWithdraw(p netaddr.Prefix) {
 	} else {
 		t.wSeen.Put(p, h)
 	}
+}
+
+// takeParked detaches and returns the array of the most recently
+// parked group that is still empty, or nil when none is left; entries
+// whose group this burst refilled or another group took are dropped.
+func (t *Tracker) takeParked() []netaddr.Prefix {
+	for n := len(t.parked); n > 0; n-- {
+		g := &t.wByPath[t.parked[n-1]]
+		t.parked = t.parked[:n-1]
+		g.parked = false
+		if len(g.prefixes) == 0 && cap(g.prefixes) > 0 {
+			buf := g.prefixes
+			g.prefixes = nil
+			return buf
+		}
+	}
+	return nil
 }
 
 func (t *Tracker) growW(id rib.LinkID) {
@@ -464,7 +507,7 @@ func (t *Tracker) AppendWithdrawnOn(dst []netaddr.Prefix, links []topology.Link)
 	if len(t.multi) == 0 {
 		for _, h := range t.wPaths {
 			if t.rib.PathCrossesSet(h, &t.set) {
-				dst = append(dst, t.wByPath[h.ID()]...)
+				dst = append(dst, t.wByPath[h.ID()].prefixes...)
 			}
 		}
 		return dst
@@ -475,7 +518,7 @@ func (t *Tracker) AppendWithdrawnOn(dst []netaddr.Prefix, links []topology.Link)
 		if !t.rib.PathCrossesSet(h, &t.set) {
 			continue
 		}
-		for _, p := range t.wByPath[h.ID()] {
+		for _, p := range t.wByPath[h.ID()].prefixes {
 			if _, ok := t.multi[p]; !ok {
 				dst = append(dst, p)
 			}
@@ -501,7 +544,7 @@ func (t *Tracker) WithdrawnOn(links []topology.Link) []netaddr.Prefix {
 	var out []netaddr.Prefix
 	for _, h := range t.wPaths {
 		if t.rib.PathCrossesSet(h, &t.set) {
-			out = append(out, t.wByPath[h.ID()]...)
+			out = append(out, t.wByPath[h.ID()].prefixes...)
 		}
 	}
 	netaddr.Sort(out)
@@ -680,7 +723,7 @@ func (t *Tracker) setFS(links []topology.Link) float64 {
 		t.rib.FillLinkSet(&t.set, links)
 		for _, h := range t.wPaths {
 			if t.rib.PathCrossesSet(h, &t.set) {
-				w += len(t.wByPath[h.ID()])
+				w += len(t.wByPath[h.ID()].prefixes)
 			}
 		}
 		// Subtract the over-count from prefixes withdrawn with several

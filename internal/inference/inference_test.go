@@ -168,6 +168,44 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestBurstAfterResetReusesGroupArrays: a burst over path set k, a
+// Reset, then a burst over path set k+1. The second burst's withdrawn
+// groups land on PathIDs the tracker has never grouped, and fill the
+// arrays the first burst's groups left behind instead of growing new
+// ones.
+func TestBurstAfterResetReusesGroupArrays(t *testing.T) {
+	const groups, per = 64, 64
+	table := rib.New(1)
+	for set := 0; set < 2; set++ {
+		for i := 0; i < groups; i++ {
+			path := []uint32{2, 5, uint32(100 + i), uint32(10000 + 100*set + i)}
+			for j := 0; j < per; j++ {
+				table.Announce(netaddr.PrefixFor(uint32(100+groups*set+i), j), path)
+			}
+		}
+	}
+	tr := NewTracker(Default(), table)
+	set := 0
+	burst := func() {
+		for i := 0; i < groups; i++ {
+			for j := 0; j < per; j++ {
+				tr.ObserveWithdraw(netaddr.PrefixFor(uint32(100+groups*set+i), j))
+			}
+		}
+		if got := len(tr.wPaths); got != groups {
+			t.Errorf("burst over set %d grouped %d paths, want %d", set, got, groups)
+		}
+		tr.Reset()
+		set++
+	}
+	// AllocsPerRun warms up with the burst over set 0 and measures the
+	// burst over set 1.
+	allocs := testing.AllocsPerRun(1, burst)
+	if allocs > 8 {
+		t.Errorf("second burst of %d groups x %d prefixes allocates %v objects, want <= 8", groups, per, allocs)
+	}
+}
+
 func TestPlausibilityGate(t *testing.T) {
 	cfg := Default()
 	tr := fig1Tracker(cfg)

@@ -42,11 +42,15 @@ type routeRef struct {
 // pathRoutes is one per-path prefix group. ent tracks the entry that
 // currently owns this PathID slot; the slice holds every prefix the
 // table routes over that path; pos is the group's index in the table's
-// live list while the group is non-empty.
+// live list while the group is non-empty. An emptied group keeps its
+// array, so a path that comes back refills it in place; parked is set
+// while the id sits on the table's parked stack, where a group started
+// on another id can take that array instead.
 type pathRoutes struct {
 	ent      *pathEntry
 	prefixes []netaddr.Prefix
 	pos      int32
+	parked   bool
 }
 
 // Table is one BGP session's RIB with link counting. It is not
@@ -66,12 +70,20 @@ type Table struct {
 	routes flatmap.Map[netaddr.Prefix, routeRef]
 	// perPath groups the table's prefixes by PathID. The slice is
 	// indexed by pool-scoped ids, so with a fleet-shared pool it is
-	// sparse (32 bytes per id the pool has numbered, used or not);
+	// sparse (40 bytes per id the pool has numbered, used or not);
 	// iteration never scans it — livePaths lists exactly the ids this
 	// table populates, keeping per-path queries O(table paths) however
 	// many paths the rest of the fleet interned.
 	perPath   []pathRoutes
 	livePaths []PathID
+	// parked stacks the ids whose groups emptied with their array still
+	// attached, most recent last. A group starting on a slot with no
+	// capacity takes the array of the newest entry still empty, so a
+	// burst that moves prefixes onto paths this table has never routed
+	// reuses the arrays its withdrawals emptied instead of growing new
+	// ones. Entries whose group refilled or was taken are skipped when
+	// popped; the parked flag keeps each id on the stack at most once.
+	parked []PathID
 	// onLink is P(l, t) by LinkID: how many prefixes' current path
 	// crosses the link (each prefix counted once per link).
 	onLink []int32
@@ -286,6 +298,9 @@ func (t *Table) addRoute(p netaddr.Prefix, e *pathEntry) {
 	g := &t.perPath[id]
 	g.ent = e
 	if len(g.prefixes) == 0 {
+		if cap(g.prefixes) == 0 {
+			g.prefixes = t.takeParked()
+		}
 		g.pos = int32(len(t.livePaths))
 		t.livePaths = append(t.livePaths, e.id)
 	}
@@ -308,9 +323,35 @@ func (t *Table) removeRoute(p netaddr.Prefix, ref routeRef) {
 	g.prefixes = g.prefixes[:last]
 	if last == 0 {
 		t.dropLivePath(g)
+		t.park(ref.pid, g)
 	}
 	t.sig ^= SigMix(uint64(p) ^ g.ent.hash)
 	t.linkDelta(g.ent, -1)
+}
+
+// park puts an emptied group's id on the parked stack, once.
+func (t *Table) park(id PathID, g *pathRoutes) {
+	if !g.parked {
+		g.parked = true
+		t.parked = append(t.parked, id)
+	}
+}
+
+// takeParked detaches and returns the array of the most recently
+// parked group that is still empty, or nil when none is left. The
+// donor slot is left without an array, so no two groups share one.
+func (t *Table) takeParked() []netaddr.Prefix {
+	for n := len(t.parked); n > 0; n-- {
+		g := &t.perPath[t.parked[n-1]]
+		t.parked = t.parked[:n-1]
+		g.parked = false
+		if len(g.prefixes) == 0 && cap(g.prefixes) > 0 {
+			buf := g.prefixes
+			g.prefixes = nil
+			return buf
+		}
+	}
+	return nil
 }
 
 // dropLivePath swap-removes an emptied group from the live list.
@@ -631,6 +672,7 @@ func (t *Table) Release() {
 		g := &t.perPath[id]
 		t.pool.ReleaseN(PathHandle{g.ent}, len(g.prefixes))
 		g.prefixes = g.prefixes[:0]
+		t.park(id, g)
 	}
 	t.livePaths = t.livePaths[:0]
 	t.routes.Clear()
