@@ -12,18 +12,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-
 	"os"
 	"path/filepath"
-	"swift/internal/telemetry/logging"
-	"time"
 
-	"swift/internal/bgp"
 	"swift/internal/bgpsim"
-	"swift/internal/mrt"
-	"swift/internal/netaddr"
+	"swift/internal/telemetry/logging"
 	"swift/internal/trace"
 )
 
@@ -60,143 +56,45 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		logger.Fatalf("%v", err)
 	}
-	epoch := time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC) // the paper's month
-
 	written := 0
 	for _, s := range ds.Sessions {
 		if written >= *sessions {
 			break
 		}
-		bursts := ds.BurstsAt(s, *minBurst)
-		if len(bursts) == 0 {
+		// Updates: every burst of at least -minburst withdrawals,
+		// offset by its failure time. Sessions without one are skipped.
+		var updates bytes.Buffer
+		n, bursts, err := ds.WriteSessionUpdates(&updates, s, *minBurst)
+		if err != nil {
+			logger.Fatalf("%v", err)
+		}
+		if bursts == 0 {
 			continue
 		}
 		written++
 		base := fmt.Sprintf("as%d-from-as%d", s.Vantage, s.Neighbor)
-
-		// RIB snapshot.
-		ribPath := filepath.Join(*out, base+".rib.mrt")
-		if err := writeRIB(ribPath, ds, s, epoch); err != nil {
+		if err := writeRIB(filepath.Join(*out, base+".rib.mrt"), ds, s); err != nil {
 			logger.Fatalf("%v", err)
 		}
-
-		// Updates: all bursts, offset by their failure times.
-		updPath := filepath.Join(*out, base+".updates.mrt")
-		n, err := writeUpdates(updPath, ds, s, bursts, epoch)
-		if err != nil {
+		if err := os.WriteFile(filepath.Join(*out, base+".updates.mrt"), updates.Bytes(), 0o666); err != nil {
 			logger.Fatalf("%v", err)
 		}
-		fmt.Printf("%s: %d bursts, %d update records (+ RIB snapshot)\n", base, len(bursts), n)
+		fmt.Printf("%s: %d bursts, %d update records (+ RIB snapshot)\n", base, bursts, n)
 	}
 	if written == 0 {
 		fmt.Println("no sessions observed bursts at this scale; try more -failures")
 	}
 }
 
-func writeRIB(path string, ds *trace.Dataset, s trace.Session, epoch time.Time) error {
+// writeRIB writes the session's TABLE_DUMP_V2 snapshot to path.
+func writeRIB(path string, ds *trace.Dataset, s trace.Session) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := mrt.NewWriter(f)
-	if err := w.WritePeerIndexTable(epoch, s.Vantage, []mrt.PeerEntry{
-		{ID: s.Neighbor, IP: 0x0a000001, AS: s.Neighbor},
-	}); err != nil {
+	if _, err := ds.WriteSessionRIB(f, s); err != nil {
+		f.Close()
 		return err
 	}
-	seq := uint32(0)
-	for origin, path := range ds.SessionRIB(s) {
-		for i := 0; i < ds.Net.Origins[origin]; i++ {
-			rec := &mrt.RIBRecord{
-				Sequence: seq,
-				Prefix:   netaddr.PrefixFor(origin, i),
-				Entries: []mrt.RIBEntry{{
-					PeerIndex:  0,
-					Originated: epoch.Add(-24 * time.Hour),
-					Attrs: bgp.Attrs{
-						ASPath:     path,
-						HasNextHop: true,
-						NextHop:    0x0a000001,
-					},
-				}},
-			}
-			seq++
-			if err := w.WriteRIBIPv4(epoch, rec); err != nil {
-				return err
-			}
-		}
-	}
-	return w.Flush()
-}
-
-func writeUpdates(path string, ds *trace.Dataset, s trace.Session, bursts []*bgpsim.Burst, epoch time.Time) (int, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	w := mrt.NewWriter(f)
-	records := 0
-	burstIdx := 0
-	for i := range ds.Failures {
-		d := ds.Delta(i)
-		wd, _ := ds.Base.BurstSizeAt(d, s.Vantage, s.Neighbor)
-		if wd < 1 || burstIdx >= len(bursts) {
-			continue
-		}
-		b := bursts[burstIdx]
-		if b.Size != wd {
-			continue // this failure's burst was below the threshold
-		}
-		burstIdx++
-		at := epoch.Add(ds.Failures[i].At)
-		// Pack consecutive withdrawals into shared UPDATEs, as a real
-		// speaker would.
-		var wdBatch []netaddr.Prefix
-		var batchAt time.Time
-		flush := func() error {
-			if len(wdBatch) == 0 {
-				return nil
-			}
-			for _, u := range bgp.PackWithdrawals(wdBatch) {
-				if err := w.WriteBGP4MP(batchAt, s.Neighbor, s.Vantage, 0x0a000001, 0x0a000002, u); err != nil {
-					return err
-				}
-				records++
-			}
-			wdBatch = wdBatch[:0]
-			return nil
-		}
-		for _, ev := range b.Events {
-			ts := at.Add(ev.At)
-			if ev.Kind == bgpsim.KindWithdraw {
-				if len(wdBatch) == 0 {
-					batchAt = ts
-				}
-				wdBatch = append(wdBatch, ev.Prefix)
-				if len(wdBatch) >= 500 {
-					if err := flush(); err != nil {
-						return records, err
-					}
-				}
-				continue
-			}
-			if err := flush(); err != nil {
-				return records, err
-			}
-			u := &bgp.Update{
-				Attrs: bgp.Attrs{ASPath: ev.Path, HasNextHop: true, NextHop: 0x0a000001},
-				NLRI:  []netaddr.Prefix{ev.Prefix},
-			}
-			if err := w.WriteBGP4MP(ts, s.Neighbor, s.Vantage, 0x0a000001, 0x0a000002, u); err != nil {
-				return records, err
-			}
-			records++
-		}
-		if err := flush(); err != nil {
-			return records, err
-		}
-	}
-	return records, w.Flush()
+	return f.Close()
 }

@@ -29,7 +29,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"swift/internal/experiments"
 	"swift/internal/scenario"
 )
 
@@ -58,34 +57,35 @@ func main() {
 
 	var render string
 	var buf []byte
-	var elapsed time.Duration
+	var err error
+	start := time.Now()
 	switch *mode {
 	case "both":
-		start := time.Now()
-		cmp, err := experiments.CompareScenarioModes(*matrix, *seed)
-		elapsed = time.Since(start)
-		if err != nil {
+		var cmp *scenario.ModeComparison
+		if cmp, err = scenario.CompareScenarioModes(*matrix, *seed); err != nil {
 			fatal(err)
 		}
-		render = experiments.RenderModeComparison(cmp)
+		render = scenario.RenderModeComparison(cmp)
 		if *out != "" {
-			if buf, err = cmp.JSON(); err != nil {
-				fatal(err)
-			}
+			buf, err = cmp.JSON()
+		}
+	case "", scenario.ModePerPeer, scenario.ModeFused:
+		var rep *scenario.MatrixReport
+		if rep, err = scenario.RunMode(*matrix, *seed, *mode == scenario.ModeFused); err != nil {
+			fatal(err)
+		}
+		render = scenario.RenderScenarioMatrix(rep)
+		if *out != "" {
+			buf, err = rep.JSON()
 		}
 	default:
-		rep, dt, err := experiments.RunScenarioMatrixModeTimed(*matrix, *seed, *mode)
-		elapsed = dt
-		if err != nil {
-			fatal(err)
-		}
-		render = experiments.RenderScenarioMatrix(rep)
-		if *out != "" {
-			if buf, err = rep.JSON(); err != nil {
-				fatal(err)
-			}
-		}
+		fatal(fmt.Errorf("unknown evaluation mode %q (have %q, %q, %q)",
+			*mode, scenario.ModePerPeer, scenario.ModeFused, "both"))
 	}
+	if err != nil {
+		fatal(err)
+	}
+	elapsed := time.Since(start)
 	// Wall clock goes to stderr only: the report (stdout/-o) must stay
 	// byte-identical run to run for the determinism smoke.
 	fmt.Fprintf(os.Stderr, "swift-eval: matrix %q (%s) evaluated in %s\n",

@@ -16,8 +16,8 @@ import (
 
 	"swift"
 	"swift/internal/bgpsim"
+	"swift/internal/experiments"
 	"swift/internal/netaddr"
-	"swift/internal/router"
 	"swift/internal/topology"
 )
 
@@ -71,9 +71,9 @@ func main() {
 	}
 
 	// Compare data-plane downtime, probing 100 withdrawn prefixes.
-	probes := router.SampleProbes(b, 100)
-	bgpDown := router.MeasureDowntime(router.RestoreTimesBGP(b, 0), probes)
-	swiftDown := router.MeasureDowntime(router.RestoreTimesSwift(b, engine.Decisions(), 0), probes)
+	probes := experiments.SampleProbes(b, 100)
+	bgpDown := experiments.MeasureDowntime(experiments.RestoreTimesBGP(b, 0), probes)
+	swiftDown := experiments.MeasureDowntime(experiments.RestoreTimesSwift(b, engine.Decisions(), 0), probes)
 
 	fmt.Printf("\nvanilla router : all probes restored after %v (median %v)\n",
 		bgpDown.Last.Round(time.Millisecond), bgpDown.Median.Round(time.Millisecond))

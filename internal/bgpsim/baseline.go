@@ -69,23 +69,6 @@ func (b *Baseline) AffectedOrigins(links ...topology.Link) []uint32 {
 	return out
 }
 
-// LinkLoadAt returns how many prefixes the session (vantage, neighbor)
-// currently routes across l, i.e. the burst size a failure of l would
-// produce there at most.
-func (b *Baseline) LinkLoadAt(vantage, neighbor uint32, l topology.Link) int {
-	total := 0
-	for o := range b.usage[l] {
-		r, ok := b.Sols[o].ExportTo(b.net.Graph, b.net.Policy, neighbor, vantage)
-		if !ok {
-			continue
-		}
-		if pathUsesLink(vantage, r.Path, l) {
-			total += b.net.Origins[o]
-		}
-	}
-	return total
-}
-
 // FailureDelta is the re-solved routing for the origins a failure
 // touches; origins outside Affected keep their baseline routes.
 type FailureDelta struct {
@@ -248,16 +231,4 @@ func EstimateDuration(tm Timing, withdrawals, announces int) time.Duration {
 		return tail
 	}
 	return serial
-}
-
-// pathUsesLink reports whether the vantage-rooted path crosses l.
-func pathUsesLink(vantage uint32, path []uint32, l topology.Link) bool {
-	prev := vantage
-	for _, as := range path {
-		if as != prev && topology.MakeLink(prev, as) == l {
-			return true
-		}
-		prev = as
-	}
-	return false
 }

@@ -357,3 +357,21 @@ func TestTimingShapesBurst(t *testing.T) {
 		t.Errorf("burst duration = %v; timing model out of calibration", d)
 	}
 }
+
+// TestFIBWrites pins the vanilla router's write schedule: a message
+// arriving while the FIB is busy waits for the previous write, one
+// arriving after an idle gap starts at its arrival.
+func TestFIBWrites(t *testing.T) {
+	ms := time.Millisecond
+	b := &Burst{Events: []Event{{At: 0}, {At: 0}, {At: 1 * ms}, {At: 10 * ms}, {At: 10 * ms}}}
+	got := b.FIBWrites(2 * ms)
+	want := []time.Duration{2 * ms, 4 * ms, 6 * ms, 12 * ms, 14 * ms}
+	if len(got) != len(want) {
+		t.Fatalf("FIBWrites = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("FIBWrites = %v, want %v", got, want)
+		}
+	}
+}

@@ -115,6 +115,26 @@ func (b *Burst) Duration() time.Duration {
 	return b.Events[len(b.Events)-1].At
 }
 
+// PerPrefixUpdate is the modeled FIB write cost per prefix of a vanilla
+// router. 375 µs/prefix is Table 1's measured slope (109 s / 290k
+// withdrawals on the paper's Cisco Nexus 7018), slightly above the
+// 128–282 µs software-router range of [24, 64].
+const PerPrefixUpdate = 375 * time.Microsecond
+
+// FIBWrites is the vanilla router's schedule for the burst: it handles
+// the stream message by message, and each message waits for the
+// previous FIB write, then costs perUpdate. done[i] is when b.Events[i]
+// becomes visible in the FIB.
+func (b *Burst) FIBWrites(perUpdate time.Duration) (done []time.Duration) {
+	done = make([]time.Duration, len(b.Events))
+	var clock time.Duration
+	for i, ev := range b.Events {
+		clock = max(clock, ev.At) + perUpdate
+		done[i] = clock
+	}
+	return done
+}
+
 // Timing models how a remote outage's message stream drains into the
 // vantage session. Per-message spacing dominates (BGP messages arrive
 // one at a time over TCP); hop distance adds onset latency; a heavy
@@ -157,7 +177,7 @@ func DefaultTiming(seed int64) Timing {
 // with RFC 4271 update packing (hundreds of withdrawals per message),
 // so CONTROL-plane arrival is fast — about 50 µs per withdrawn prefix.
 // The router's DATA-plane convergence is then FIB-write bound (see
-// router.PerPrefixUpdate), which is how the paper's Cisco needs 109 s
+// PerPrefixUpdate), which is how the paper's Cisco needs 109 s
 // for 290k prefixes while the SWIFT controller has seen its 20k trigger
 // withdrawals after one second.
 func TestbedTiming(seed int64) Timing {

@@ -1,9 +1,9 @@
 // Package burst implements SWIFT's burst detection (§4.1): a sliding
 // window over the withdrawal stream whose start/stop thresholds come
 // from percentiles of the session's recent history (99.99th and 90th of
-// withdrawals seen over any window-sized period). It provides both a
-// streaming Detector, used by the SWIFT engine, and a batch Segmenter
-// used by the trace analysis of §2.2.
+// withdrawals seen over any window-sized period). Its streaming
+// Detector is the one implementation of §4.1; the SWIFT engine feeds it
+// every withdrawal and quiet tick.
 package burst
 
 import (
@@ -21,7 +21,7 @@ const (
 	DefaultStopThreshold  = 9
 )
 
-// Config parameterizes a Detector or Segmenter.
+// Config parameterizes a Detector.
 type Config struct {
 	// Window is the sliding window size (default 10 s).
 	Window time.Duration
@@ -267,52 +267,4 @@ func (d *Detector) Tick(at time.Duration) Transition {
 		return Ended
 	}
 	return None
-}
-
-// Span is one burst found by the batch Segmenter.
-type Span struct {
-	Start, End time.Duration
-	// Withdrawals counts withdrawal messages inside the span.
-	Withdrawals int
-}
-
-// Duration returns the span length.
-func (s Span) Duration() time.Duration { return s.End - s.Start }
-
-// Segment finds bursts in a batch of withdrawal offsets (sorted
-// ascending) the way §2.2.1 does: a burst starts when the window count
-// rises above cfg's start threshold and stops when it falls below the
-// stop threshold.
-func Segment(cfg Config, times []time.Duration) []Span {
-	w, start, stop := cfg.window(), cfg.start(), cfg.stop()
-	var spans []Span
-	var cur *Span
-	head := 0
-	for i, at := range times {
-		for head < i && times[head] <= at-w {
-			head++
-		}
-		count := i - head + 1
-		if cur == nil && count >= start {
-			spans = append(spans, Span{Start: times[head]})
-			cur = &spans[len(spans)-1]
-			cur.Withdrawals = count
-			continue
-		}
-		if cur != nil {
-			if count <= stop {
-				// The window has drained: the burst really ended at the
-				// last withdrawal before this gap, and the current
-				// (post-gap) withdrawal is not part of it.
-				cur.End = times[i-1]
-				cur = nil
-				continue
-			}
-			cur.Withdrawals++
-		}
-	}
-	if cur != nil {
-		cur.End = times[len(times)-1]
-	}
-	return spans
 }

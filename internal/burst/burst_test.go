@@ -138,58 +138,3 @@ func TestDetectorUsesHistoryThreshold(t *testing.T) {
 		t.Errorf("history-floored threshold should trigger at 20, got %v", tr)
 	}
 }
-
-func TestSegment(t *testing.T) {
-	// 2000 withdrawals in 2 s, then silence, then 30 more spread out.
-	var times []time.Duration
-	for i := 0; i < 2000; i++ {
-		times = append(times, ms(i))
-	}
-	for i := 0; i < 30; i++ {
-		times = append(times, time.Minute+time.Duration(i)*time.Second)
-	}
-	spans := Segment(Config{}, times)
-	if len(spans) != 1 {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[0].Withdrawals < 2000 {
-		t.Errorf("burst withdrawals = %d", spans[0].Withdrawals)
-	}
-	if spans[0].Duration() > 15*time.Second {
-		t.Errorf("burst duration = %v", spans[0].Duration())
-	}
-}
-
-func TestSegmentMultipleBursts(t *testing.T) {
-	var times []time.Duration
-	for b := 0; b < 3; b++ {
-		base := time.Duration(b) * time.Hour
-		for i := 0; i < 1600; i++ {
-			times = append(times, base+ms(i*2))
-		}
-	}
-	spans := Segment(Config{}, times)
-	if len(spans) != 3 {
-		t.Fatalf("found %d bursts, want 3", len(spans))
-	}
-}
-
-func TestSegmentOpenEndedBurst(t *testing.T) {
-	var times []time.Duration
-	for i := 0; i < 1600; i++ {
-		times = append(times, ms(i))
-	}
-	spans := Segment(Config{}, times)
-	if len(spans) != 1 {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[0].End != times[len(times)-1] {
-		t.Errorf("open burst end = %v", spans[0].End)
-	}
-}
-
-func TestSegmentEmpty(t *testing.T) {
-	if spans := Segment(Config{}, nil); len(spans) != 0 {
-		t.Errorf("spans on empty input = %v", spans)
-	}
-}

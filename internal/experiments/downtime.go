@@ -1,14 +1,7 @@
-// Package router models data-plane convergence of a BGP router upon a
-// remote outage — the measurement harness behind Table 1 and the §7
-// case study (Fig. 9a). A vanilla router processes the withdrawal burst
-// message by message and rewrites its FIB one prefix at a time; a
-// SWIFTED router restores predicted prefixes in bulk at inference time
-// with a handful of tag rules. Both models share the same burst, so the
-// comparison isolates exactly what the paper measures.
-package router
+package experiments
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"swift/internal/bgpsim"
@@ -16,29 +9,26 @@ import (
 	swiftengine "swift/internal/swift"
 )
 
-// PerPrefixUpdate is the default modeled FIB write cost per prefix for
-// the vanilla router. 375 µs/prefix is Table 1's measured slope
-// (109 s / 290k withdrawals on the paper's Cisco Nexus 7018), slightly
-// above the 128–282 µs software-router range of [24, 64].
-const PerPrefixUpdate = 375 * time.Microsecond
+// The data-plane convergence model behind Table 1 and the §7 case study
+// (Fig. 9a): a vanilla router processes the withdrawal burst message by
+// message and rewrites its FIB one prefix at a time; a SWIFTED router
+// restores predicted prefixes in bulk at inference time with a handful
+// of tag rules. Both models share the same burst, so the comparison
+// isolates exactly what the paper measures.
 
 // RestoreTimesBGP computes, for every withdrawn prefix in the burst,
-// when a vanilla router restores its connectivity: the withdrawal must
-// arrive (burst timing), wait behind earlier messages, and pay a
-// per-prefix FIB write to switch to the locally known alternate route.
+// when a vanilla router restores its connectivity: the withdrawal's FIB
+// write on the burst's bgpsim.Burst.FIBWrites schedule switches it to
+// the locally known alternate route. perUpdate ≤ 0 means
+// bgpsim.PerPrefixUpdate.
 func RestoreTimesBGP(b *bgpsim.Burst, perUpdate time.Duration) map[netaddr.Prefix]time.Duration {
 	if perUpdate <= 0 {
-		perUpdate = PerPrefixUpdate
+		perUpdate = bgpsim.PerPrefixUpdate
 	}
 	out := make(map[netaddr.Prefix]time.Duration, b.Size)
-	var clock time.Duration
-	for _, ev := range b.Events {
-		if ev.At > clock {
-			clock = ev.At
-		}
-		clock += perUpdate // every message costs a FIB write
-		if ev.Kind == bgpsim.KindWithdraw {
-			out[ev.Prefix] = clock
+	for i, done := range b.FIBWrites(perUpdate) {
+		if ev := b.Events[i]; ev.Kind == bgpsim.KindWithdraw {
+			out[ev.Prefix] = done
 		}
 	}
 	return out
@@ -83,22 +73,10 @@ type Downtime struct {
 
 // MeasureDowntime samples probes (all prefixes when probes is nil).
 func MeasureDowntime(restore map[netaddr.Prefix]time.Duration, probes []netaddr.Prefix) Downtime {
-	var ts []time.Duration
-	if probes == nil {
-		for _, t := range restore {
-			ts = append(ts, t)
-		}
-	} else {
-		for _, p := range probes {
-			if t, ok := restore[p]; ok {
-				ts = append(ts, t)
-			}
-		}
-	}
+	ts := probeTimes(restore, probes)
 	if len(ts) == 0 {
 		return Downtime{}
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
 	return Downtime{
 		Last:   ts[len(ts)-1],
 		Median: ts[len(ts)/2],
@@ -115,22 +93,10 @@ type LossPoint struct {
 // LossSeries samples the fraction of unrestored probes over time at the
 // given step, from the failure instant until full restoration.
 func LossSeries(restore map[netaddr.Prefix]time.Duration, probes []netaddr.Prefix, step time.Duration) []LossPoint {
-	var ts []time.Duration
-	if probes == nil {
-		for _, t := range restore {
-			ts = append(ts, t)
-		}
-	} else {
-		for _, p := range probes {
-			if t, ok := restore[p]; ok {
-				ts = append(ts, t)
-			}
-		}
-	}
+	ts := probeTimes(restore, probes)
 	if len(ts) == 0 {
 		return nil
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
 	end := ts[len(ts)-1]
 	var out []LossPoint
 	idx := 0
@@ -144,6 +110,25 @@ func LossSeries(restore map[netaddr.Prefix]time.Duration, probes []netaddr.Prefi
 		}
 	}
 	return out
+}
+
+// probeTimes returns the probes' restoration times (every prefix's when
+// probes is nil) in ascending order.
+func probeTimes(restore map[netaddr.Prefix]time.Duration, probes []netaddr.Prefix) []time.Duration {
+	var ts []time.Duration
+	if probes == nil {
+		for _, t := range restore {
+			ts = append(ts, t)
+		}
+	} else {
+		for _, p := range probes {
+			if t, ok := restore[p]; ok {
+				ts = append(ts, t)
+			}
+		}
+	}
+	slices.Sort(ts)
+	return ts
 }
 
 // SampleProbes deterministically picks n probe prefixes among the

@@ -1,4 +1,4 @@
-package router
+package experiments
 
 import (
 	"testing"
@@ -25,7 +25,7 @@ func fig1Burst(t *testing.T, scale int, seed int64) (*bgpsim.Network, *bgpsim.Bu
 
 func TestRestoreTimesBGPSerial(t *testing.T) {
 	_, b := fig1Burst(t, 1000, 1)
-	restore := RestoreTimesBGP(b, PerPrefixUpdate)
+	restore := RestoreTimesBGP(b, bgpsim.PerPrefixUpdate)
 	if len(restore) != b.Size {
 		t.Fatalf("restore entries = %d, want %d", len(restore), b.Size)
 	}

@@ -1,12 +1,12 @@
-// Package experiments regenerates every table and figure of the SWIFT
-// paper's evaluation (§2, §6, §7). Each experiment returns a structured
-// result plus a text rendering shaped like the paper's presentation, so
-// the bench harness and cmd/swift-bench print comparable rows.
+// Package experiments regenerates the tables and figures of the SWIFT
+// paper's evaluation (§2, §6, §7) for cmd/swift-bench. Each experiment
+// returns a structured result plus a text rendering shaped like the
+// paper's presentation. Table 1 and Fig. 9 score data-plane downtime
+// with the convergence model in downtime.go; the packet-level scenario
+// matrix that cmd/swift-eval runs lives in internal/scenario.
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,39 +15,9 @@ import (
 	"swift/internal/netaddr"
 	"swift/internal/reroute"
 	"swift/internal/rib"
-	"swift/internal/scenario"
 	"swift/internal/topology"
 	"swift/internal/trace"
 )
-
-// RunScenarioMatrix evaluates a named failure-scenario matrix (see
-// internal/scenario) — the packet-level complement of the paper-figure
-// experiments below: instead of decision metrics it scores, per
-// scenario and per session, the packets a SWIFTED router loses against
-// a vanilla router on the same stream. Deterministic: same name and
-// seed, byte-identical report.
-func RunScenarioMatrix(name string, seed int64) (*scenario.MatrixReport, error) {
-	return scenario.Run(name, seed)
-}
-
-// RenderScenarioMatrix renders a matrix report as the experiment
-// tables do: one row per scenario plus the aggregate footer.
-func RenderScenarioMatrix(rep *scenario.MatrixReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scenario matrix %q (seed %d): %d scenarios\n", rep.Matrix, rep.Seed, len(rep.Scenarios))
-	fmt.Fprintf(&b, "%-26s %-20s %9s %10s %10s %8s\n", "scenario", "failure", "packets", "swift-lost", "bgp-lost", "saved")
-	for _, r := range rep.Scenarios {
-		saved := "-"
-		if r.BGPLost > 0 {
-			saved = fmt.Sprintf("%.1f%%", 100*float64(r.BGPLost-r.SwiftLost)/float64(r.BGPLost))
-		}
-		fmt.Fprintf(&b, "%-26s %-20s %9d %10d %10d %8s\n",
-			r.Name, r.Failure, r.PacketsSent, r.SwiftLost, r.BGPLost, saved)
-	}
-	fmt.Fprintf(&b, "total: %d packets, swift lost %d, vanilla lost %d; remote failures: %d/%d strictly better with SWIFT\n",
-		rep.PacketsSent, rep.SwiftLost, rep.BGPLost, rep.RemoteSwiftWins, rep.RemoteScenarios)
-	return b.String()
-}
 
 // BurstEval is the per-burst outcome of replaying one burst through the
 // inference (and optionally encoding) pipeline.

@@ -304,26 +304,3 @@ func TestSafetyShape(t *testing.T) {
 	}
 	_ = res.String()
 }
-
-func TestScenarioMatrixRunner(t *testing.T) {
-	rep, err := RunScenarioMatrix("smoke", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Scenarios) == 0 {
-		t.Fatal("empty matrix report")
-	}
-	if rep.RemoteSwiftWins != rep.RemoteScenarios {
-		t.Errorf("SWIFT strictly better on %d of %d remote scenarios",
-			rep.RemoteSwiftWins, rep.RemoteScenarios)
-	}
-	out := RenderScenarioMatrix(rep)
-	for _, r := range rep.Scenarios {
-		if !strings.Contains(out, r.Name) {
-			t.Errorf("rendering lacks scenario %q", r.Name)
-		}
-	}
-	if _, err := RunScenarioMatrix("no-such-matrix", 1); err == nil {
-		t.Error("unknown matrix did not error")
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"swift/internal/bgpsim"
 	"swift/internal/inference"
 	"swift/internal/netaddr"
-	"swift/internal/router"
 	swiftengine "swift/internal/swift"
 	"swift/internal/topology"
 )
@@ -21,8 +20,8 @@ type Fig9Result struct {
 	BGPDowntime   time.Duration
 	SwiftDowntime time.Duration
 	SpeedupPct    float64
-	BGPSeries     []router.LossPoint
-	SwiftSeries   []router.LossPoint
+	BGPSeries     []LossPoint
+	SwiftSeries   []LossPoint
 }
 
 // Fig9 runs the case study at the given scale (the paper uses 290k).
@@ -65,11 +64,11 @@ func Fig9(prefixes int, seed int64) Fig9Result {
 		panic(err)
 	}
 
-	probes := router.SampleProbes(b, 100)
-	bgpRestore := router.RestoreTimesBGP(b, router.PerPrefixUpdate)
-	swiftRestore := router.RestoreTimesSwift(b, e.Decisions(), router.PerPrefixUpdate)
-	dBGP := router.MeasureDowntime(bgpRestore, probes)
-	dSwift := router.MeasureDowntime(swiftRestore, probes)
+	probes := SampleProbes(b, 100)
+	bgpRestore := RestoreTimesBGP(b, bgpsim.PerPrefixUpdate)
+	swiftRestore := RestoreTimesSwift(b, e.Decisions(), bgpsim.PerPrefixUpdate)
+	dBGP := MeasureDowntime(bgpRestore, probes)
+	dSwift := MeasureDowntime(swiftRestore, probes)
 
 	step := dBGP.Last / 100
 	if step <= 0 {
@@ -79,8 +78,8 @@ func Fig9(prefixes int, seed int64) Fig9Result {
 		Prefixes:      prefixes,
 		BGPDowntime:   dBGP.Last,
 		SwiftDowntime: dSwift.Last,
-		BGPSeries:     router.LossSeries(bgpRestore, probes, step),
-		SwiftSeries:   router.LossSeries(swiftRestore, probes, step),
+		BGPSeries:     LossSeries(bgpRestore, probes, step),
+		SwiftSeries:   LossSeries(swiftRestore, probes, step),
 	}
 	if dBGP.Last > 0 {
 		res.SpeedupPct = 100 * (1 - float64(dSwift.Last)/float64(dBGP.Last))

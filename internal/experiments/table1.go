@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"swift/internal/bgpsim"
-	"swift/internal/router"
 	"swift/internal/topology"
 )
 
@@ -49,8 +48,8 @@ func Table1(sizes []int, seed int64) Table1Result {
 		if err != nil {
 			panic(err) // static topology: cannot fail
 		}
-		restore := router.RestoreTimesBGP(b, router.PerPrefixUpdate)
-		d := router.MeasureDowntime(restore, router.SampleProbes(b, 100))
+		restore := RestoreTimesBGP(b, bgpsim.PerPrefixUpdate)
+		d := MeasureDowntime(restore, SampleProbes(b, 100))
 		out.Rows = append(out.Rows, Table1Row{
 			Withdrawals:   n,
 			PaperDowntime: paperTable1[n],

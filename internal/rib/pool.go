@@ -119,20 +119,6 @@ func (h PathHandle) ID() PathID { return h.e.id }
 // and immutable while the handle's reference is held.
 func (h PathHandle) Path() []uint32 { return h.e.path }
 
-// Head returns the first AS of the path (the session neighbor), or
-// false for the empty path.
-func (h PathHandle) Head() (uint32, bool) {
-	if len(h.e.path) == 0 {
-		return 0, false
-	}
-	return h.e.path[0], true
-}
-
-// InteriorLinkIDs returns the path's interior links (everything except
-// the per-table local first-hop link), deduplicated. The slice is owned
-// by the pool and immutable while the handle's reference is held.
-func (h PathHandle) InteriorLinkIDs() []LinkID { return h.e.links }
-
 // poolShard is one intern stripe. byKey is the authoritative index,
 // guarded by mu; snap is a read-mostly copy published for lock-free
 // probes and refreshed by the publication policy below. Both hold

@@ -587,13 +587,6 @@ func (t *Table) AppendPrefixesOnSet(dst []netaddr.Prefix, set *LinkSet) []netadd
 	return dst
 }
 
-// PrefixesOn appends to dst every prefix currently routed across l. The
-// order is unspecified.
-func (t *Table) PrefixesOn(dst []netaddr.Prefix, l topology.Link) []netaddr.Prefix {
-	t.FillLinkSet(&t.set, []topology.Link{l})
-	return t.AppendPrefixesOnSet(dst, &t.set)
-}
-
 // PrefixesOnAny returns the sorted union of prefixes across the given
 // links — the set SWIFT reroutes after inferring that those links
 // failed. Group-by-path materialization yields each prefix once, so the

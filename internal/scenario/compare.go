@@ -1,4 +1,4 @@
-package experiments
+package scenario
 
 import (
 	"encoding/json"
@@ -7,34 +7,7 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"swift/internal/scenario"
 )
-
-// RunScenarioMatrixMode evaluates a named matrix in one evaluation mode
-// (scenario.ModePerPeer or scenario.ModeFused). Deterministic: same
-// name, seed and mode, byte-identical report.
-func RunScenarioMatrixMode(name string, seed int64, mode string) (*scenario.MatrixReport, error) {
-	switch mode {
-	case "", scenario.ModePerPeer:
-		return scenario.RunMode(name, seed, false)
-	case scenario.ModeFused:
-		return scenario.RunMode(name, seed, true)
-	}
-	return nil, fmt.Errorf("experiments: unknown evaluation mode %q (have %q, %q)",
-		mode, scenario.ModePerPeer, scenario.ModeFused)
-}
-
-// RunScenarioMatrixModeTimed is RunScenarioMatrixMode plus the
-// evaluation wall clock. The elapsed time is returned out-of-band
-// (never folded into the report), so the JSON stays byte-deterministic
-// while callers — swift-eval prints it to stderr — can track how fast
-// the batched forwarding path chews through a matrix.
-func RunScenarioMatrixModeTimed(name string, seed int64, mode string) (*scenario.MatrixReport, time.Duration, error) {
-	start := time.Now()
-	rep, err := RunScenarioMatrixMode(name, seed, mode)
-	return rep, time.Since(start), err
-}
 
 // ModeAggregate folds one mode's per-session rows of a scenario family
 // into comparable totals. MeanRestore averages the sessions'
@@ -67,11 +40,11 @@ type FamilyDelta struct {
 // ModeComparison is the paired-run output of CompareScenarioModes: the
 // two full matrix reports plus the per-family fold.
 type ModeComparison struct {
-	Matrix   string                 `json:"matrix"`
-	Seed     int64                  `json:"seed"`
-	Families []FamilyDelta          `json:"families"`
-	PerPeer  *scenario.MatrixReport `json:"per_peer"`
-	Fused    *scenario.MatrixReport `json:"fused"`
+	Matrix   string        `json:"matrix"`
+	Seed     int64         `json:"seed"`
+	Families []FamilyDelta `json:"families"`
+	PerPeer  *MatrixReport `json:"per_peer"`
+	Fused    *MatrixReport `json:"fused"`
 }
 
 // JSON renders the comparison with stable formatting (deterministic for
@@ -91,11 +64,11 @@ func FamilyOf(name string) string { return sizeToken.ReplaceAllString(name, "") 
 // modes on the same seed (identical scenarios, events and flows) and
 // folds the outcome per scenario family.
 func CompareScenarioModes(name string, seed int64) (*ModeComparison, error) {
-	pp, err := scenario.RunMode(name, seed, false)
+	pp, err := RunMode(name, seed, false)
 	if err != nil {
 		return nil, err
 	}
-	fu, err := scenario.RunMode(name, seed, true)
+	fu, err := RunMode(name, seed, true)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +86,7 @@ func CompareScenarioModes(name string, seed int64) (*ModeComparison, error) {
 	for i, pr := range pp.Scenarios {
 		fr := fu.Scenarios[i]
 		if pr.Name != fr.Name {
-			return nil, fmt.Errorf("experiments: mode reports diverge at scenario %d: %q vs %q", i, pr.Name, fr.Name)
+			return nil, fmt.Errorf("scenario: mode reports diverge at scenario %d: %q vs %q", i, pr.Name, fr.Name)
 		}
 		fam := FamilyOf(pr.Name)
 		a := byFamily[fam]

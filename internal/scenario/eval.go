@@ -386,18 +386,13 @@ func (sc *Scenario) newPeerState(sess Session, neighbors []uint32) *peerState {
 	pe.okS = make([]bool, len(pe.flows))
 	pe.prioS = make([]int, len(pe.flows))
 
-	// Ground truth and the write queue: the vanilla router processes
-	// the stream message by message, each message paying one FIB write
-	// behind the previous ones. A withdrawal lands on the converged
-	// post-failure next hop (the locally known alternate); an
+	// Ground truth and the write queue, on the vanilla router's
+	// message-by-message FIB-write schedule. A withdrawal lands on the
+	// converged post-failure next hop (the locally known alternate); an
 	// announcement installs the announced path's next hop.
-	var clock time.Duration
-	for _, ev := range sess.Burst.Events {
-		if ev.At > clock {
-			clock = ev.At
-		}
-		clock += spec.PerPrefixUpdate
-		w := fibWrite{eff: clock, prefix: ev.Prefix}
+	done := sess.Burst.FIBWrites(spec.PerPrefixUpdate)
+	for i, ev := range sess.Burst.Events {
+		w := fibWrite{eff: done[i], prefix: ev.Prefix}
 		switch ev.Kind {
 		case bgpsim.KindWithdraw:
 			pe.truth[ev.Prefix] = true
@@ -553,16 +548,11 @@ func (pe *peerState) report() PeerReport {
 	return r
 }
 
-// Run builds and evaluates every scenario of the named matrix,
+// RunMode builds and evaluates every scenario of the named matrix,
 // fanning scenarios out over the available cores; the report order is
 // the matrix order, so the output is deterministic regardless of
-// parallelism.
-func Run(matrix string, seed int64) (*MatrixReport, error) {
-	return RunMode(matrix, seed, false)
-}
-
-// RunMode is Run with the evaluation mode explicit: fused enables
-// fleet-level evidence fusion (EvalFused) on every scenario.
+// parallelism. fused enables fleet-level evidence fusion (EvalFused)
+// on every scenario.
 func RunMode(matrix string, seed int64, fused bool) (*MatrixReport, error) {
 	specs, err := Matrix(matrix, seed)
 	if err != nil {
@@ -571,12 +561,7 @@ func RunMode(matrix string, seed int64, fused bool) (*MatrixReport, error) {
 	return RunSpecsMode(matrix, seed, specs, fused)
 }
 
-// RunSpecs evaluates an explicit scenario list in per-peer mode.
-func RunSpecs(matrix string, seed int64, specs []Spec) (*MatrixReport, error) {
-	return RunSpecsMode(matrix, seed, specs, false)
-}
-
-// RunSpecsMode evaluates an explicit scenario list in either mode.
+// RunSpecsMode is RunMode over an explicit scenario list.
 func RunSpecsMode(matrix string, seed int64, specs []Spec, fused bool) (*MatrixReport, error) {
 	mode := ModePerPeer
 	if fused {

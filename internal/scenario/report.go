@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"time"
 )
 
@@ -132,4 +134,23 @@ func (m *MatrixReport) aggregate() {
 // contract: same matrix, same seed, byte-identical output).
 func (m *MatrixReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
+}
+
+// RenderScenarioMatrix renders a matrix report as the experiment
+// tables do: one row per scenario plus the aggregate footer.
+func RenderScenarioMatrix(rep *MatrixReport) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Scenario matrix %q (seed %d): %d scenarios\n", rep.Matrix, rep.Seed, len(rep.Scenarios))
+	fmt.Fprintf(&b, "%-26s %-20s %9s %10s %10s %8s\n", "scenario", "failure", "packets", "swift-lost", "bgp-lost", "saved")
+	for _, r := range rep.Scenarios {
+		saved := "-"
+		if r.BGPLost > 0 {
+			saved = fmt.Sprintf("%.1f%%", 100*float64(r.BGPLost-r.SwiftLost)/float64(r.BGPLost))
+		}
+		fmt.Fprintf(&b, "%-26s %-20s %9d %10d %10d %8s\n",
+			r.Name, r.Failure, r.PacketsSent, r.SwiftLost, r.BGPLost, saved)
+	}
+	fmt.Fprintf(&b, "total: %d packets, swift lost %d, vanilla lost %d; remote failures: %d/%d strictly better with SWIFT\n",
+		rep.PacketsSent, rep.SwiftLost, rep.BGPLost, rep.RemoteSwiftWins, rep.RemoteScenarios)
+	return b.String()
 }

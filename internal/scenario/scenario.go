@@ -92,7 +92,7 @@ type Spec struct {
 	MaxFlows        int           // per-session flow cap (default 256)
 	SettleAfter     time.Duration // scored time past the last event (default 300ms)
 	RuleUpdateCost  time.Duration // SWIFT rule write cost (default dataplane.DefaultRuleUpdate)
-	PerPrefixUpdate time.Duration // vanilla router per-prefix FIB write (default 375µs, Table 1's slope)
+	PerPrefixUpdate time.Duration // vanilla router per-prefix FIB write (default bgpsim.PerPrefixUpdate)
 }
 
 func (s Spec) withDefaults() Spec {
@@ -139,7 +139,7 @@ func (s Spec) withDefaults() Spec {
 		s.RuleUpdateCost = dataplane.DefaultRuleUpdate
 	}
 	if s.PerPrefixUpdate <= 0 {
-		s.PerPrefixUpdate = 375 * time.Microsecond
+		s.PerPrefixUpdate = bgpsim.PerPrefixUpdate
 	}
 	return s
 }

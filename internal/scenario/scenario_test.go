@@ -70,11 +70,11 @@ func TestBuildFig1(t *testing.T) {
 // byte-deterministic and SWIFT must lose strictly fewer packets than
 // the vanilla router on every remote-failure scenario.
 func TestSmokeMatrix(t *testing.T) {
-	rep, err := Run("smoke", 1)
+	rep, err := RunMode("smoke", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run("smoke", 1)
+	again, err := RunMode("smoke", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSmokeMatrix(t *testing.T) {
 	}
 	// A different seed produces a different (but internally consistent)
 	// report.
-	other, err := Run("smoke", 2)
+	other, err := RunMode("smoke", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDefaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix in short mode")
 	}
-	rep, err := Run("default", 1)
+	rep, err := RunMode("default", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDefaultMatrix(t *testing.T) {
 	if rep.RemoteSwiftWins != rep.RemoteScenarios {
 		t.Errorf("remote wins %d / %d", rep.RemoteSwiftWins, rep.RemoteScenarios)
 	}
-	again, err := Run("default", 1)
+	again, err := RunMode("default", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

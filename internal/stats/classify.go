@@ -1,48 +1,5 @@
 package stats
 
-// Confusion holds the four cells of a binary classification outcome. In
-// the SWIFT evaluation (§6.2) the "positive" class is "prefix withdrawn
-// during the burst" and the "predicted positive" class is "prefix whose
-// path traversed a link SWIFT inferred as failed".
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// TPR returns the true positive rate TP/(TP+FN), or 0 when undefined.
-func (c Confusion) TPR() float64 {
-	d := c.TP + c.FN
-	if d == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(d)
-}
-
-// FPR returns the false positive rate FP/(FP+TN), or 0 when undefined.
-func (c Confusion) FPR() float64 {
-	d := c.FP + c.TN
-	if d == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(d)
-}
-
-// Precision returns TP/(TP+FP), or 0 when undefined.
-func (c Confusion) Precision() float64 {
-	d := c.TP + c.FP
-	if d == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(d)
-}
-
-// Add accumulates another confusion matrix into c.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // Quadrant identifies the four regions of Fig. 6, splitting the TPR/FPR
 // plane at 50%.
 type Quadrant int
@@ -57,21 +14,6 @@ const (
 	BottomLeft
 	BottomRight
 )
-
-// String implements fmt.Stringer.
-func (q Quadrant) String() string {
-	switch q {
-	case TopLeft:
-		return "top-left"
-	case TopRight:
-		return "top-right"
-	case BottomLeft:
-		return "bottom-left"
-	case BottomRight:
-		return "bottom-right"
-	}
-	return "unknown"
-}
 
 // QuadrantOf classifies a (TPR, FPR) point, both in [0,1].
 func QuadrantOf(tpr, fpr float64) Quadrant {

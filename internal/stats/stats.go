@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the SWIFT
 // evaluation relies on: percentiles, empirical CDFs, boxplot summaries,
-// weighted geometric means (the Fit Score of §4.1), and binary
-// classification metrics (TPR/FPR/CPR of §6.2-§6.3).
+// weighted geometric means (the Fit Score of §4.1), and the TPR/FPR
+// quadrants of Fig. 6.
 package stats
 
 import (
@@ -21,16 +21,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return percentileSorted(s, p)
 }
 
-// PercentileSorted is Percentile for inputs already in ascending order,
-// avoiding the copy and sort. It is what the hot burst-detection path
-// uses against its history window.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return percentileSorted(sorted, p)
-}
-
 func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
@@ -48,15 +38,6 @@ func percentileSorted(s []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// PercentileInts is Percentile over integer samples.
-func PercentileInts(xs []int, p float64) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Percentile(fs, p)
-}
-
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -68,9 +49,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // WeightedGeoMean2 is the two-value WeightedGeoMean: (x1^w1 · x2^w2)^(1/(w1+w2)).
 // It is the exact combinator of the SWIFT Fit Score — WS weighted
@@ -183,19 +161,3 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // N returns the number of samples.
 func (c *CDF) N() int { return len(c.sorted) }
-
-// Points renders the CDF as (x, cumulative fraction) pairs suitable for
-// plotting, one point per distinct sample value.
-func (c *CDF) Points() (xs, ys []float64) {
-	n := len(c.sorted)
-	for i := 0; i < n; {
-		j := i
-		for j < n && c.sorted[j] == c.sorted[i] {
-			j++
-		}
-		xs = append(xs, c.sorted[i])
-		ys = append(ys, float64(j)/float64(n))
-		i = j
-	}
-	return xs, ys
-}

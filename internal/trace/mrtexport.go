@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"swift/internal/bgp"
@@ -16,7 +17,8 @@ import (
 var Epoch = time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 
 // WriteSessionRIB dumps a session's initial table as TABLE_DUMP_V2
-// records, the format RouteViews RIB snapshots use.
+// records, the format RouteViews RIB snapshots use. Origins are written
+// in ascending order, so one dataset always exports the same bytes.
 func (ds *Dataset) WriteSessionRIB(w io.Writer, s Session) (records int, err error) {
 	mw := mrt.NewWriter(w)
 	if err := mw.WritePeerIndexTable(Epoch, s.Vantage, []mrt.PeerEntry{
@@ -24,8 +26,10 @@ func (ds *Dataset) WriteSessionRIB(w io.Writer, s Session) (records int, err err
 	}); err != nil {
 		return 0, err
 	}
+	rib := ds.SessionRIB(s)
 	seq := uint32(0)
-	for origin, path := range ds.SessionRIB(s) {
+	for _, origin := range slices.Sorted(maps.Keys(rib)) {
+		path := rib[origin]
 		for i := 0; i < ds.Net.Origins[origin]; i++ {
 			rec := &mrt.RIBRecord{
 				Sequence: seq,
@@ -113,73 +117,4 @@ func (ds *Dataset) WriteSessionUpdates(w io.Writer, s Session, minBurst int) (re
 		}
 	}
 	return records, bursts, mw.Flush()
-}
-
-// ReadRIBInto replays a TABLE_DUMP_V2 stream into per-prefix routes,
-// calling fn for each (prefix, AS path) pair.
-func ReadRIBInto(r io.Reader, fn func(p netaddr.Prefix, path []uint32)) (int, error) {
-	mr := mrt.NewReader(r)
-	n := 0
-	for {
-		rec, err := mr.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if rec.Type != mrt.TypeTableDumpV2 || rec.Subtype != mrt.SubtypeRIBIPv4Unicast {
-			continue
-		}
-		rr, err := mrt.DecodeRIBIPv4(rec.Body)
-		if err != nil {
-			return n, fmt.Errorf("trace: RIB record: %w", err)
-		}
-		for _, e := range rr.Entries {
-			fn(rr.Prefix, e.Attrs.ASPath)
-			n++
-		}
-	}
-}
-
-// UpdateEvent is one per-prefix message decoded from an MRT update file.
-type UpdateEvent struct {
-	At       time.Time
-	Withdraw bool
-	Prefix   netaddr.Prefix
-	Path     []uint32
-}
-
-// ReadUpdates decodes a BGP4MP update stream into per-prefix events,
-// calling fn for each in file order.
-func ReadUpdates(r io.Reader, fn func(UpdateEvent)) (int, error) {
-	mr := mrt.NewReader(r)
-	var d bgp.UpdateDecoder
-	n := 0
-	for {
-		m, err := mr.NextBGP4MP()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if m.Header.Type != bgp.TypeUpdate {
-			continue
-		}
-		if err := d.Decode(m.Body); err != nil {
-			return n, fmt.Errorf("trace: update at %v: %w", m.Timestamp, err)
-		}
-		for _, p := range d.Withdrawn {
-			fn(UpdateEvent{At: m.Timestamp, Withdraw: true, Prefix: p})
-			n++
-		}
-		if len(d.NLRI) > 0 {
-			path := append([]uint32(nil), d.Attrs.ASPath...)
-			for _, p := range d.NLRI {
-				fn(UpdateEvent{At: m.Timestamp, Prefix: p, Path: path})
-				n++
-			}
-		}
-	}
 }

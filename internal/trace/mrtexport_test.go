@@ -2,12 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"testing"
-	"time"
 
+	"swift/internal/bgp"
+	"swift/internal/mrt"
 	"swift/internal/netaddr"
 )
 
+// TestMRTRoundTripRIB reads the exported snapshot back through the
+// production TABLE_DUMP_V2 walker and checks it holds exactly the
+// session's table: every prefix of every origin, on its path.
 func TestMRTRoundTripRIB(t *testing.T) {
 	ds := Generate(smallConfig(21))
 	s := ds.Sessions[0]
@@ -21,34 +27,48 @@ func TestMRTRoundTripRIB(t *testing.T) {
 		t.Fatal("empty RIB")
 	}
 	got := make(map[netaddr.Prefix][]uint32)
-	read, err := ReadRIBInto(bytes.NewReader(buf.Bytes()), func(p netaddr.Prefix, path []uint32) {
-		got[p] = append([]uint32(nil), path...)
+	read := 0
+	err = mrt.WalkRIBIPv4(&buf, func(rr *mrt.RIBRecord) error {
+		for _, e := range rr.Entries {
+			got[rr.Prefix] = e.Attrs.ASPath
+			read++
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if read != written {
-		t.Fatalf("read %d records, wrote %d", read, written)
+	if read != written || len(got) != written {
+		t.Fatalf("read %d records over %d prefixes, wrote %d", read, len(got), written)
 	}
-	// Spot-check against the source of truth.
 	for origin, path := range ds.SessionRIB(s) {
-		p := netaddr.PrefixFor(origin, 0)
-		gp, ok := got[p]
-		if !ok {
-			t.Fatalf("prefix %v missing from round trip", p)
-		}
-		if len(gp) != len(path) {
-			t.Fatalf("path length mismatch for %v: %v vs %v", p, gp, path)
-		}
-		for i := range gp {
-			if gp[i] != path[i] {
-				t.Fatalf("path mismatch for %v: %v vs %v", p, gp, path)
+		for i := 0; i < ds.Net.Origins[origin]; i++ {
+			p := netaddr.PrefixFor(origin, i)
+			if gp, ok := got[p]; !ok || !slices.Equal(gp, path) {
+				t.Fatalf("prefix %v: read path %v (present %v), table has %v", p, gp, ok, path)
 			}
 		}
-		break
 	}
 }
 
+// TestWriteSessionRIBDeterministic: two datasets generated from one
+// seed export byte-identical snapshots.
+func TestWriteSessionRIBDeterministic(t *testing.T) {
+	var a, b bytes.Buffer
+	dsA, dsB := Generate(smallConfig(21)), Generate(smallConfig(21))
+	if _, err := dsA.WriteSessionRIB(&a, dsA.Sessions[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dsB.WriteSessionRIB(&b, dsB.Sessions[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("one seed exported two different RIB snapshots")
+	}
+}
+
+// TestMRTRoundTripUpdates reads the exported bursts back through the
+// production BGP4MP reader and UPDATE decoder.
 func TestMRTRoundTripUpdates(t *testing.T) {
 	ds := Generate(smallConfig(23))
 	// Find a session with bursts.
@@ -67,46 +87,44 @@ func TestMRTRoundTripUpdates(t *testing.T) {
 		t.Fatalf("bursts=%d records=%d", bursts, records)
 	}
 
-	var withdrawals, announces int
-	var prev time.Time
-	monotonePerBurst := true
-	n, err := ReadUpdates(bytes.NewReader(buf.Bytes()), func(ev UpdateEvent) {
-		if ev.Withdraw {
-			withdrawals++
-		} else {
-			announces++
-			if len(ev.Path) == 0 {
-				t.Error("announcement without AS path")
-			}
+	mr := mrt.NewReader(&buf)
+	var d bgp.UpdateDecoder
+	var read, withdrawals, announces int
+	for {
+		m, err := mr.NextBGP4MP()
+		if err == io.EOF {
+			break
 		}
-		// Timestamps are non-decreasing within the file except at burst
-		// boundaries (failures are spread over the month).
-		if !prev.IsZero() && ev.At.Before(prev.Add(-24*time.Hour)) {
-			monotonePerBurst = false
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = ev.At
-	})
-	if err != nil {
-		t.Fatal(err)
+		read++
+		if m.Header.Type != bgp.TypeUpdate {
+			t.Fatalf("record %d: BGP message type %d, want UPDATE", read, m.Header.Type)
+		}
+		if err := d.Decode(m.Body); err != nil {
+			t.Fatalf("record %d: %v", read, err)
+		}
+		withdrawals += len(d.Withdrawn)
+		announces += len(d.NLRI)
+		if len(d.NLRI) > 0 && len(d.Attrs.ASPath) == 0 {
+			t.Error("announcement without AS path")
+		}
 	}
-	if n != withdrawals+announces {
-		t.Fatalf("event count mismatch: %d vs %d", n, withdrawals+announces)
+	if read != records {
+		t.Fatalf("read %d records, wrote %d", read, records)
+	}
+	if announces == 0 {
+		t.Error("no announcements in the bursts")
 	}
 	// The file must contain each burst's withdrawals.
 	expected := 0
-	for _, st := range ds.Census(200) {
+	for _, st := range census {
 		if st.Session == s {
 			expected += st.Withdrawals
 		}
 	}
 	if withdrawals != expected {
 		t.Errorf("withdrawals = %d, census says %d", withdrawals, expected)
-	}
-	_ = monotonePerBurst // informational; burst batching may reorder at boundaries
-}
-
-func TestReadUpdatesRejectsGarbage(t *testing.T) {
-	if _, err := ReadUpdates(bytes.NewReader([]byte("not an mrt file at all")), func(UpdateEvent) {}); err == nil {
-		t.Error("garbage must not parse")
 	}
 }

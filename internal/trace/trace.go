@@ -329,8 +329,3 @@ func (ds *Dataset) BurstsAt(s Session, minWithdrawals int) []*bgpsim.Burst {
 func (ds *Dataset) SessionRIB(s Session) map[uint32][]uint32 {
 	return ds.Net.SessionRIB(ds.Base.Sols, s.Vantage, s.Neighbor)
 }
-
-// NoiseWindowP90 returns the calibrated per-window noise floor the
-// paper measured (9 withdrawals per 10 s at the 90th percentile); the
-// burst detector's stop threshold comes from here.
-func NoiseWindowP90() int { return 9 }
