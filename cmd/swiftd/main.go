@@ -32,11 +32,13 @@
 // -metrics-interval controls the periodic stats log line (0 disables
 // it) and -log-level filters the daemon log (debug, info, warn, error).
 //
-// In BMP mode -snapshot-dir enables warm restarts: the fleet is
+// In either mode -snapshot-dir enables warm restarts: the fleet is
 // checkpointed to <dir>/fleet.snap on SIGUSR1, on POST /snapshot and on
 // shutdown, and a start that finds a snapshot restores every peer's
-// provisioned engine from it instead of waiting for routers to re-dump
-// their tables. /healthz reports whether the start was warm or cold.
+// provisioned engine from it instead of waiting for routers or the
+// eBGP peer to re-send their tables. /healthz reports whether the start
+// was warm or cold. -fusion, also in either mode, shares one evidence
+// aggregator across the fleet's engines.
 //
 // SIGINT/SIGTERM shut either mode down cleanly: the eBGP session closes
 // with a CEASE notification or the BMP station closes its connections,
@@ -57,6 +59,7 @@ import (
 	"swift/internal/bgpd"
 	"swift/internal/bmp"
 	"swift/internal/controller"
+	"swift/internal/event"
 	"swift/internal/fusion"
 	"swift/internal/inference"
 	"swift/internal/mrt"
@@ -76,13 +79,13 @@ func main() {
 		primaryAS  = flag.Uint("primary-as", 0, "eBGP mode: exit unless the session's peer AS is this one (0 = accept any; the engine's primary neighbor is always the peer's AS)")
 		altRIB     = flag.String("alternates-rib", "", "MRT TABLE_DUMP_V2 file with alternate routes")
 		altAS      = flag.Uint("alternate-as", 0, "neighbor AS owning the alternate routes")
-		settle     = flag.Duration("settle", 3*time.Second, "quiet period ending a table transfer")
+		settle     = flag.Duration("settle", event.DefaultTableSettle, "quiet period ending a table transfer")
 		httpAddr   = flag.String("http", "", "ops HTTP listen address (e.g. :8080; empty disables)")
 		metricsInt = flag.Duration("metrics-interval", 10*time.Second, "periodic stats log interval (0 disables)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		ringSize   = flag.Int("burst-ring", 256, "burst trace ring capacity (records kept for /bursts)")
-		snapDir    = flag.String("snapshot-dir", "", "directory for warm-restart snapshots (BMP mode only): restore on start, checkpoint on SIGUSR1, POST /snapshot and shutdown")
-		fused      = flag.Bool("fusion", false, "enable fleet-level evidence fusion across BMP-monitored sessions (BMP mode only)")
+		snapDir    = flag.String("snapshot-dir", "", "directory for warm-restart snapshots: restore on start, checkpoint on SIGUSR1, POST /snapshot and shutdown")
+		fused      = flag.Bool("fusion", false, "enable fleet-level evidence fusion across the monitored sessions")
 		fusionK    = flag.Int("fusion-k", 0, "fusion: peers whose corroborating evidence confirms a link (0 = default)")
 		fusionThr  = flag.Float64("fusion-threshold", 0, "fusion: fused Fit-Score a link must reach to be confirmed (0 = default)")
 	)
@@ -124,9 +127,6 @@ func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	if *snapDir != "" {
-		if *bmpListen == "" {
-			logger.Fatalf("-snapshot-dir requires -bmp-listen (snapshots capture an engine fleet)")
-		}
 		signal.Notify(sigs, syscall.SIGUSR1)
 	}
 
@@ -139,18 +139,14 @@ func main() {
 		snapDir:  *snapDir,
 	}
 	if *fused {
-		if *bmpListen == "" {
-			logger.Fatalf("-fusion requires -bmp-listen (fusion spans a fleet of monitored sessions)")
-		}
 		d.fusion = &fusion.Config{K: *fusionK, FuseThreshold: *fusionThr}
 	}
-	fleet, restoreStatus := d.newFleet(uint32(*localAS), alternates, uint32(*altAS))
+	d.fleet, d.restoreStatus = d.newFleet(uint32(*localAS), alternates, uint32(*altAS))
 	if *bmpListen != "" {
-		d.runBMP(*bmpListen, *settle, fleet, restoreStatus, sigs)
+		d.runBMP(*bmpListen, *settle, sigs)
 		return
 	}
-	d.runBGP(*listen, *dial, uint32(*localAS), parseID(logger, *routerID), uint32(*primaryAS),
-		*settle, fleet, sigs)
+	d.runBGP(*listen, *dial, uint32(*localAS), parseID(logger, *routerID), uint32(*primaryAS), *settle, sigs)
 }
 
 // daemon carries the telemetry spine shared by both ingestion modes.
@@ -160,21 +156,30 @@ type daemon struct {
 	ring     *telemetry.BurstRing
 	httpAddr string
 	interval time.Duration
-	// fusion, when set, shares one evidence aggregator across the BMP
+	// fusion, when set, shares one evidence aggregator across the
 	// fleet's engines (-fusion; nil runs classic per-peer SWIFT).
 	fusion *fusion.Config
-	// snapDir, when set, holds the warm-restart snapshot (BMP mode).
+	// snapDir, when set, holds the warm-restart snapshot.
 	snapDir string
+
+	// fleet is the engine fleet both modes feed; restoreStatus is its
+	// /healthz line.
+	fleet         *controller.Fleet
+	restoreStatus string
 }
 
-// serveOps starts the ops HTTP listener when -http was given. The
-// server dies with the process; nothing needs a graceful drain.
-func (d *daemon) serveOps(cfg ops.Config) {
+// serveOps starts the ops HTTP listener when -http was given, over the
+// fleet and, in BMP mode, the station. The server dies with the
+// process; nothing needs a graceful drain.
+func (d *daemon) serveOps(station *bmp.Station) {
 	if d.httpAddr == "" {
 		return
 	}
-	cfg.Registry = d.registry
-	cfg.Ring = d.ring
+	cfg := ops.Config{Registry: d.registry, Ring: d.ring, Fleet: d.fleet, Station: station}
+	if d.snapDir != "" {
+		cfg.Snapshot = d.checkpoint
+		cfg.RestoreStatus = func() string { return d.restoreStatus }
+	}
 	handler := ops.NewHandler(cfg)
 	go func() {
 		d.logger.Infof("ops HTTP listening on %s", d.httpAddr)
@@ -196,6 +201,44 @@ func (d *daemon) metricsC() (<-chan time.Time, func()) {
 
 // snapPath is the warm-restart snapshot inside -snapshot-dir.
 func (d *daemon) snapPath() string { return filepath.Join(d.snapDir, "fleet.snap") }
+
+// checkpoint writes the fleet snapshot with temp+rename so the restore
+// path never sees a torn file; SIGUSR1, POST /snapshot and shutdown all
+// funnel through it. It needs -snapshot-dir.
+func (d *daemon) checkpoint() error {
+	tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
+	if err != nil {
+		return err
+	}
+	if err := d.fleet.Snapshot(tmp); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), d.snapPath()); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
+
+// checkpointOn checkpoints the fleet if sig is SIGUSR1, which only
+// reaches the daemon with -snapshot-dir, and reports whether it was.
+func (d *daemon) checkpointOn(sig os.Signal) bool {
+	if sig != syscall.SIGUSR1 {
+		return false
+	}
+	if err := d.checkpoint(); err != nil {
+		d.logger.Warnf("snapshot checkpoint: %v", err)
+	} else {
+		d.logger.Infof("snapshot checkpointed to %s", d.snapPath())
+	}
+	return true
+}
 
 // newFleet builds the instrumented engine fleet both modes feed: the
 // Observer hooks push every burst, decision and fallback into the log,
@@ -249,43 +292,14 @@ func (d *daemon) newFleet(localAS uint32, alternates []mrt.RIBRecord, altAS uint
 
 // runBMP serves a BMP station into the fleet until a signal or a
 // listener failure.
-func (d *daemon) runBMP(addr string, settle time.Duration, fleet *controller.Fleet, restoreStatus string, sigs <-chan os.Signal) {
-	logger := d.logger
+func (d *daemon) runBMP(addr string, settle time.Duration, sigs <-chan os.Signal) {
+	logger, fleet := d.logger, d.fleet
 	station := bmp.NewStation(bmp.StationConfig{
 		Sink:        fleet,
 		TableSettle: settle,
 		Logf:        logger.Infof,
 	})
-	opsCfg := ops.Config{Fleet: fleet, Station: station}
-	var checkpoint func() error
-	if d.snapDir != "" {
-		// checkpoint writes the fleet snapshot with temp+rename so the
-		// restore path never sees a torn file; SIGUSR1, POST /snapshot
-		// and shutdown all funnel through it.
-		checkpoint = func() error {
-			tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
-			if err != nil {
-				return err
-			}
-			if err := fleet.Snapshot(tmp); err != nil {
-				tmp.Close()
-				os.Remove(tmp.Name())
-				return err
-			}
-			if err := tmp.Close(); err != nil {
-				os.Remove(tmp.Name())
-				return err
-			}
-			if err := os.Rename(tmp.Name(), d.snapPath()); err != nil {
-				os.Remove(tmp.Name())
-				return err
-			}
-			return nil
-		}
-		opsCfg.Snapshot = checkpoint
-		opsCfg.RestoreStatus = func() string { return restoreStatus }
-	}
-	d.serveOps(opsCfg)
+	d.serveOps(station)
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -299,18 +313,18 @@ func (d *daemon) runBMP(addr string, settle time.Duration, fleet *controller.Fle
 			ended <- fmt.Errorf("station: %w", err)
 		}
 	}()
-	d.serve(fleet, sigs, ended, station.Close, func() string {
+	d.serve(sigs, ended, station.Close, func() string {
 		m := station.Metrics()
 		return fmt.Sprintf("conns=%d msgs=%d rm=%d bytes=%d decode_errs=%d | %s",
 			m.Conns, m.Messages, m.RouteMonitoring, m.Bytes, m.DecodeErrors, fleet.Status())
-	}, checkpoint)
+	})
 }
 
 // runBGP establishes one eBGP session and runs it as a one-peer fleet,
 // through a bgpd.Source, until a signal or the session's end.
-func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32, settle time.Duration, fleet *controller.Fleet, sigs <-chan os.Signal) {
-	logger := d.logger
-	d.serveOps(ops.Config{Fleet: fleet})
+func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32, settle time.Duration, sigs <-chan os.Signal) {
+	logger, fleet := d.logger, d.fleet
+	d.serveOps(nil)
 
 	var sess *bgpd.Session
 	var err error
@@ -332,13 +346,19 @@ func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32
 		established := make(chan struct{})
 		tookSignal := make(chan bool, 1)
 		go func() {
-			select {
-			case sig := <-sigs:
-				logger.Infof("%v: aborting before session establishment", sig)
-				l.Close()
-				tookSignal <- true
-			case <-established:
-				tookSignal <- false
+			for {
+				select {
+				case sig := <-sigs:
+					if d.checkpointOn(sig) {
+						continue
+					}
+					logger.Infof("%v: aborting before session establishment", sig)
+					l.Close()
+					tookSignal <- true
+				case <-established:
+					tookSignal <- false
+				}
+				return
 			}
 		}()
 		sess, err = bgpd.Accept(l, bcfg)
@@ -365,15 +385,20 @@ func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32
 			s, derr := bgpd.Dial(dial, bcfg)
 			dialed <- dialResult{s, derr}
 		}()
-		select {
-		case sig := <-sigs:
-			logger.Infof("%v: aborting dial", sig)
-			return
-		case r := <-dialed:
-			if r.err != nil {
-				logger.Fatalf("%v", r.err)
+		for sess == nil {
+			select {
+			case sig := <-sigs:
+				if d.checkpointOn(sig) {
+					continue
+				}
+				logger.Infof("%v: aborting dial", sig)
+				return
+			case r := <-dialed:
+				if r.err != nil {
+					logger.Fatalf("%v", r.err)
+				}
+				sess = r.sess
 			}
-			sess = r.sess
 		}
 	}
 	if primaryAS != 0 && sess.PeerAS() != primaryAS {
@@ -402,36 +427,32 @@ func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32
 		<-ended
 		return err
 	}
-	d.serve(fleet, sigs, ended, stop, fleet.Status, nil)
+	d.serve(sigs, ended, stop, fleet.Status)
 }
 
 // serve is the loop both modes end in: periodic stats until a signal
 // or the front-end's own end, then the fleet drains and its final
 // status is printed. stop closes the front-end and waits for it to
-// drain; checkpoint, when set, runs on SIGUSR1 and after stop.
-func (d *daemon) serve(fleet *controller.Fleet, sigs <-chan os.Signal, ended <-chan error, stop func() error, stats func() string, checkpoint func() error) {
-	logger := d.logger
+// drain. With -snapshot-dir the fleet is checkpointed on SIGUSR1 and
+// after stop.
+func (d *daemon) serve(sigs <-chan os.Signal, ended <-chan error, stop func() error, stats func() string) {
+	logger, fleet := d.logger, d.fleet
 	metricsC, stopMetrics := d.metricsC()
 	defer stopMetrics()
 	for {
 		select {
 		case sig := <-sigs:
-			if sig == syscall.SIGUSR1 {
-				if err := checkpoint(); err != nil {
-					logger.Warnf("snapshot checkpoint: %v", err)
-				} else {
-					logger.Infof("snapshot checkpointed to %s", d.snapPath())
-				}
+			if d.checkpointOn(sig) {
 				continue
 			}
 			logger.Infof("%v: shutting down", sig)
 			if err := stop(); err != nil {
 				logger.Warnf("shutdown: %v", err)
 			}
-			if checkpoint != nil {
+			if d.snapDir != "" {
 				// The front-end has drained, so this captures the fleet's
 				// final state; the next start restores it.
-				if err := checkpoint(); err != nil {
+				if err := d.checkpoint(); err != nil {
 					logger.Warnf("shutdown snapshot: %v", err)
 				} else {
 					logger.Infof("shutdown snapshot written to %s", d.snapPath())

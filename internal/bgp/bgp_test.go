@@ -194,8 +194,8 @@ func TestUpdateWithdrawalOnly(t *testing.T) {
 	if err := out.Decode(wire[HeaderLen:]); err != nil {
 		t.Fatal(err)
 	}
-	if !out.IsWithdrawalOnly() {
-		t.Error("IsWithdrawalOnly = false")
+	if len(out.NLRI) != 0 || len(out.Withdrawn) == 0 {
+		t.Error("decoded withdrawal is not withdrawal-only")
 	}
 	if len(out.NLRI) != 0 {
 		t.Errorf("nlri = %v", out.NLRI)
@@ -287,7 +287,7 @@ func TestPackWithdrawals(t *testing.T) {
 	total := 0
 	for _, m := range msgs {
 		total += len(m.Withdrawn)
-		if !m.IsWithdrawalOnly() {
+		if len(m.NLRI) != 0 || len(m.Withdrawn) == 0 {
 			t.Error("packed withdrawal has NLRI")
 		}
 		wire, err := m.AppendWire(nil)
@@ -300,40 +300,6 @@ func TestPackWithdrawals(t *testing.T) {
 	}
 	if total != 1500 {
 		t.Errorf("total packed = %d", total)
-	}
-}
-
-func TestPackAnnouncementsGroupsByAttrs(t *testing.T) {
-	a1 := &Attrs{ASPath: []uint32{1, 2}, HasNextHop: true, NextHop: 1}
-	a2 := &Attrs{ASPath: []uint32{1, 2}, HasNextHop: true, NextHop: 1, Communities: []uint32{7}}
-	p1, p2, p3 := netaddr.BlockFor(1, 0), netaddr.BlockFor(1, 1), netaddr.BlockFor(1, 2)
-	msgs := PackAnnouncements(
-		[]netaddr.Prefix{p1, p2, p3},
-		map[netaddr.Prefix]*Attrs{p1: a1, p2: a2, p3: a1},
-	)
-	if len(msgs) != 2 {
-		t.Fatalf("messages = %d, want 2 (distinct communities defeat packing)", len(msgs))
-	}
-	if len(msgs[0].NLRI) != 2 || len(msgs[1].NLRI) != 1 {
-		t.Errorf("group sizes = %d, %d", len(msgs[0].NLRI), len(msgs[1].NLRI))
-	}
-}
-
-func TestAttrKeyDistinguishes(t *testing.T) {
-	base := Attrs{ASPath: []uint32{1, 2}, HasNextHop: true, NextHop: 5}
-	same := base
-	if AttrKey(&base) != AttrKey(&same) {
-		t.Error("identical attrs must share a key")
-	}
-	diff := base
-	diff.ASPath = []uint32{1, 3}
-	if AttrKey(&base) == AttrKey(&diff) {
-		t.Error("different AS paths must differ")
-	}
-	comm := base
-	comm.Communities = []uint32{1}
-	if AttrKey(&base) == AttrKey(&comm) {
-		t.Error("different communities must differ")
 	}
 }
 

@@ -23,77 +23,3 @@ func PackWithdrawals(prefixes []netaddr.Prefix) []*Update {
 	}
 	return out
 }
-
-// AttrKey returns a comparable fingerprint of the attributes that decide
-// whether two announcements may share an UPDATE (RFC 4271 packing rule:
-// identical attributes only). Distinct communities — widespread in the
-// wild (§2.1.1) — therefore defeat packing, which the trace generator
-// exploits to model slow announcement streams.
-func AttrKey(a *Attrs) string {
-	// A compact byte fingerprint; not wire format, just equality.
-	buf := make([]byte, 0, 8+4*len(a.ASPath)+4*len(a.Communities))
-	buf = append(buf, a.Origin)
-	flag := byte(0)
-	if a.HasNextHop {
-		flag |= 1
-	}
-	if a.HasMED {
-		flag |= 2
-	}
-	if a.HasLocalPref {
-		flag |= 4
-	}
-	buf = append(buf, flag)
-	put32 := func(v uint32) {
-		buf = append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	put32(a.NextHop)
-	put32(a.MED)
-	put32(a.LocalPref)
-	put32(uint32(len(a.ASPath)))
-	for _, as := range a.ASPath {
-		put32(as)
-	}
-	for _, c := range a.Communities {
-		put32(c)
-	}
-	return string(buf)
-}
-
-// PackAnnouncements groups announcements by identical attributes and
-// packs each group into minimal UPDATEs. The input maps each prefix to
-// its attributes; ordering of the output follows the first appearance of
-// each attribute group in keys.
-func PackAnnouncements(keys []netaddr.Prefix, attrs map[netaddr.Prefix]*Attrs) []*Update {
-	groups := make(map[string][]netaddr.Prefix)
-	groupAttrs := make(map[string]*Attrs)
-	var order []string
-	for _, p := range keys {
-		a := attrs[p]
-		if a == nil {
-			continue
-		}
-		k := AttrKey(a)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-			groupAttrs[k] = a
-		}
-		groups[k] = append(groups[k], p)
-	}
-	var out []*Update
-	for _, k := range order {
-		ps := groups[k]
-		for len(ps) > 0 {
-			n := len(ps)
-			if n > maxPrefixesPerUpdate {
-				n = maxPrefixesPerUpdate
-			}
-			out = append(out, &Update{
-				Attrs: *groupAttrs[k],
-				NLRI:  append([]netaddr.Prefix(nil), ps[:n]...),
-			})
-			ps = ps[n:]
-		}
-	}
-	return out
-}

@@ -74,11 +74,6 @@ type Update struct {
 // MsgType implements Message.
 func (*Update) MsgType() uint8 { return TypeUpdate }
 
-// IsWithdrawalOnly reports whether the update only withdraws routes.
-func (u *Update) IsWithdrawalOnly() bool {
-	return len(u.NLRI) == 0 && len(u.Withdrawn) > 0
-}
-
 func appendPrefix(dst []byte, p netaddr.Prefix) []byte {
 	l := p.Len()
 	dst = append(dst, byte(l))

@@ -11,10 +11,12 @@ import (
 // Source is the eBGP front-end as an event.Source, beside bmp.Station
 // and mrt.Source: it lowers one session's UPDATEs into batches
 // attributed to Peer, for a Fleet or (through swift.SessionSink) one
-// engine. It keeps the station's contract — the initial table goes to
-// the sink's Provisioner until End-of-RIB or TableSettle of quiet, live
-// UPDATEs are batched through one event.Builder, a quiet stream is
-// ticked — all on Run's goroutine.
+// engine. The session runs through one event.Feed, the same per-peer
+// front half as each BMP-monitored peer: the initial table goes to the
+// sink's Provisioner until End-of-RIB or TableSettle of quiet, live
+// UPDATEs are batched through one event.Builder, and a quiet stream is
+// ticked, all on Run's goroutine. eBGP carries no timestamps, so stream
+// offsets count arrival time from the session's first UPDATE.
 type Source struct {
 	// Peer attributes every event (the session's PeerAS and PeerID).
 	Peer event.PeerKey
@@ -22,7 +24,8 @@ type Source struct {
 	// returns once it closes. Required.
 	Updates <-chan *bgp.Update
 	// TableSettle of quiet ends a table transfer without End-of-RIB; a
-	// quarter of it paces the quiet-stream ticks. Default 3 s.
+	// quarter of it paces the quiet-stream ticks. Default
+	// event.DefaultTableSettle.
 	TableSettle time.Duration
 	// Logf, when set, receives one line per source event.
 	Logf func(format string, args ...any)
@@ -38,52 +41,22 @@ func (s *Source) Run(sink event.Sink) error {
 	}
 	settle := s.TableSettle
 	if settle <= 0 {
-		settle = 3 * time.Second
+		settle = event.DefaultTableSettle
 	}
-	prov, _ := sink.(event.Provisioner)
-	syncing := prov != nil && !prov.Provisioned(s.Peer)
-	if fast, ok := sink.(event.PeerSink); ok {
-		sink = fast.PeerSink(s.Peer)
-	}
-	out := event.NewBuilder(sink, 0)
-	var clock event.StreamClock
-	learned, live := 0, false
-	lastMsg := time.Now()
-	provision := func() {
-		syncing = false
-		if err := prov.Provision(s.Peer); err != nil {
-			s.logf("bgpd: peer %s provision failed after %d routes: %v", s.Peer, learned, err)
-			return
-		}
-		s.logf("bgpd: peer %s provisioned (%d routes learned)", s.Peer, learned)
-	}
-
+	feed := event.NewFeed(sink, s.Peer, &event.StreamClock{}, time.Now(), s.logf)
 	ticker := time.NewTicker(settle / 4)
 	defer ticker.Stop()
 	for {
 		select {
 		case u, ok := <-s.Updates:
 			if !ok {
-				return out.Flush()
+				return feed.Flush()
 			}
-			lastMsg = time.Now()
-			if syncing {
-				// End-of-RIB (RFC 4724) is an UPDATE with no withdrawn
-				// routes and no NLRI. Withdrawals during a table transfer
-				// carry no signal.
-				if len(u.NLRI) == 0 && len(u.Withdrawn) == 0 {
-					provision()
-				}
-				for _, p := range u.NLRI {
-					prov.Learn(s.Peer, p, u.Attrs.ASPath)
-					learned++
-				}
-				continue
-			}
-			at := clock.Offset(lastMsg)
-			live = true
+			// Everything queued behind the first UPDATE is one burst:
+			// one clock read, one flush.
+			now := time.Now()
 			for u != nil {
-				if err := out.Update(s.Peer, at, u.Withdrawn, u.NLRI, u.Attrs.ASPath); err != nil {
+				if err := feed.Update(time.Time{}, now, u.Withdrawn, u.NLRI, u.Attrs.ASPath); err != nil {
 					return err
 				}
 				select {
@@ -92,22 +65,12 @@ func (s *Source) Run(sink event.Sink) error {
 					u = nil
 				}
 			}
-			if err := out.Flush(); err != nil {
+			if err := feed.Flush(); err != nil {
 				return err
 			}
 		case now := <-ticker.C:
-			quiet := now.Sub(lastMsg)
-			switch {
-			case syncing:
-				if learned > 0 && quiet >= settle {
-					provision()
-				}
-			case live && quiet >= settle/4:
-				// Advance the sink's clock past the quiet gap so its burst
-				// detector can declare the burst over.
-				if err := out.Tick(s.Peer, clock.Offset(now)); err != nil {
-					return err
-				}
+			if err := feed.Quiet(now, settle); err != nil {
+				return err
 			}
 		}
 	}
@@ -115,6 +78,6 @@ func (s *Source) Run(sink event.Sink) error {
 
 func (s *Source) logf(format string, args ...any) {
 	if s.Logf != nil {
-		s.Logf(format, args...)
+		s.Logf("bgpd: "+format, args...)
 	}
 }

@@ -244,10 +244,11 @@ func TestSolveValleyFree(t *testing.T) {
 	for _, origin := range []uint32{1, 17, 42, 100, 199} {
 		sol := SolveOrigin(g, pol, origin)
 		for _, as := range g.ASes() {
-			path := sol.FullPathAt(as)
-			if path == nil {
+			r := sol.RouteAt(as)
+			if !r.Valid() {
 				continue
 			}
+			path := append([]uint32{as}, r.Path...) // the path a packet sourced at as follows
 			if path[len(path)-1] != origin {
 				t.Fatalf("path %v does not end at origin %d", path, origin)
 			}

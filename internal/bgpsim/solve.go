@@ -106,18 +106,6 @@ func (s *OriginSolution) RouteAt(as uint32) Route {
 	return r
 }
 
-// FullPathAt returns as's AS path including as itself at the head, or
-// nil when unreachable. This is the path a packet sourced at as follows.
-func (s *OriginSolution) FullPathAt(as uint32) []uint32 {
-	r := s.RouteAt(as)
-	if !r.Valid() {
-		return nil
-	}
-	out := make([]uint32, 0, 1+len(r.Path))
-	out = append(out, as)
-	return append(out, r.Path...)
-}
-
 // gaoRexfordExports reports whether holder may export its route r to
 // importer under the baseline rules: own and customer routes go to
 // everyone; peer and provider routes go to customers only.

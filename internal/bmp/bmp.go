@@ -114,10 +114,6 @@ type PeerHeader struct {
 	Micros        uint32 // timestamp, microsecond remainder
 }
 
-// IPv4 returns the peer address as a v4 integer (valid when the V flag
-// is clear).
-func (h *PeerHeader) IPv4() uint32 { return binary.BigEndian.Uint32(h.Addr[12:16]) }
-
 // SetIPv4 stores a v4 peer address in wire position.
 func (h *PeerHeader) SetIPv4(a uint32) {
 	h.Addr = [16]byte{}

@@ -17,30 +17,19 @@ type StationConfig struct {
 	// Sink receives the demuxed per-peer event stream. Required. A
 	// controller.Fleet routes each peer to its own engine; a
 	// swift.SessionSink funnels everything into one. mrt.Source and
-	// bgpd.Source (one eBGP session) feed the same sinks. If the sink
-	// also implements event.Provisioner, each peer's in-band table dump
-	// is loaded through it and the peer is provisioned at End-of-RIB;
-	// otherwise peers are assumed provisioned out-of-band and go
-	// straight to live streaming.
+	// bgpd.Source (one eBGP session) feed the same sinks. Each monitored
+	// peer runs through one event.Feed: its in-band table dump is loaded
+	// through the sink's event.Provisioner and the peer provisioned at
+	// End-of-RIB, unless the sink has no Provisioner or the peer is
+	// already provisioned, and batches go out when a connection's read
+	// buffer drains or event.DefaultBatchEvents accumulate.
 	Sink event.Sink
 	// TableSettle is the quiet period after which a peer still waiting
-	// for End-of-RIB is provisioned anyway (routers predating RFC 4724
-	// never send the marker). Default 3 s.
+	// for End-of-RIB is provisioned anyway; a quarter of it paces the
+	// quiet-stream ticks. Default event.DefaultTableSettle.
 	TableSettle time.Duration
-	// BatchEvents caps how many events accumulate per peer before a
-	// batch is handed to the sink (default event.DefaultBatchEvents).
-	// Batches also flush whenever the connection's read buffer drains,
-	// so latency stays at one syscall under light load.
-	BatchEvents int
 	// Logf, when set, receives one line per station event.
 	Logf func(format string, args ...any)
-}
-
-func (c StationConfig) tableSettle() time.Duration {
-	if c.TableSettle <= 0 {
-		return 3 * time.Second
-	}
-	return c.TableSettle
 }
 
 // StationMetrics is a snapshot of a station's ingestion counters.
@@ -66,8 +55,10 @@ type StationMetrics struct {
 // sink. One station serves many routers; each router's peers share the
 // sink. A Station is an event.Source over its live connections.
 type Station struct {
-	cfg  StationConfig
-	prov event.Provisioner // cfg.Sink's setup surface, when it has one
+	cfg StationConfig
+	// feedLogf carries the feeds' provisioning lines into the station
+	// log; built once, so starting a peer's feed allocates no closure.
+	feedLogf func(format string, args ...any)
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -95,12 +86,15 @@ func NewStation(cfg StationConfig) *Station {
 	if cfg.Sink == nil {
 		panic("bmp: StationConfig.Sink is required")
 	}
+	if cfg.TableSettle <= 0 {
+		cfg.TableSettle = event.DefaultTableSettle
+	}
 	st := &Station{
 		cfg:    cfg,
 		conns:  make(map[net.Conn]struct{}),
 		clocks: make(map[event.PeerKey]*event.StreamClock),
 	}
-	st.prov, _ = cfg.Sink.(event.Provisioner)
+	st.feedLogf = func(format string, args ...any) { st.logf("bmp: "+format, args...) }
 	return st
 }
 
@@ -210,28 +204,6 @@ func (st *Station) untrack(conn net.Conn) {
 	st.mu.Unlock()
 }
 
-// peerStream is the per-(connection, peer) demux state.
-type peerStream struct {
-	key   event.PeerKey
-	clock *event.StreamClock
-	// out lowers this peer's live UPDATEs into batches for the sink's
-	// bound per-peer fast path when it offers one (event.PeerSink), the
-	// sink itself otherwise.
-	out *event.Builder
-
-	// syncing is true while the initial table dump drains into the
-	// sink's Provisioner; End-of-RIB (or the settle timer) flips it.
-	// It is never set when the sink has no Provisioner surface.
-	syncing bool
-	// sawTimestamp records that the router timestamps this peer's
-	// messages, putting its engine clock in the router's time domain.
-	sawTimestamp bool
-
-	learned int
-	lastMsg time.Time // wall-clock arrival of the newest message
-	lastAt  time.Duration
-}
-
 // ServeConn runs one monitored-router connection to completion: it
 // demuxes every BMP message into per-peer event batches for the sink.
 // It returns after the router terminates the session, the connection
@@ -247,7 +219,7 @@ func (st *Station) ServeConn(conn net.Conn) error {
 
 	c := &connState{
 		st:    st,
-		peers: make(map[event.PeerKey]*peerStream),
+		peers: make(map[event.PeerKey]*event.Feed),
 	}
 	// The settle scanner provisions peers whose table dump ended
 	// without an End-of-RIB marker and ticks live engines when the
@@ -279,7 +251,7 @@ type connState struct {
 	st *Station
 
 	mu    sync.Mutex // guards peers against the settle scanner
-	peers map[event.PeerKey]*peerStream
+	peers map[event.PeerKey]*event.Feed
 
 	sysName string
 	upd     bgp.UpdateDecoder
@@ -320,26 +292,15 @@ func (c *connState) burst(r *Reader, typ uint8, body []byte, err error) error {
 	return err
 }
 
-func (c *connState) stream(key event.PeerKey) *peerStream {
-	if ps, ok := c.peers[key]; ok {
-		return ps
+// feed returns key's feed on this connection, starting it on first
+// sight. Caller holds c.mu.
+func (c *connState) feed(key event.PeerKey) *event.Feed {
+	if f, ok := c.peers[key]; ok {
+		return f
 	}
-	dst := c.st.cfg.Sink
-	if fast, ok := dst.(event.PeerSink); ok {
-		dst = fast.PeerSink(key)
-	}
-	ps := &peerStream{
-		key:   key,
-		clock: c.st.clock(key),
-		out:   event.NewBuilder(dst, c.st.cfg.BatchEvents),
-		// A sink without a setup surface — or a peer provisioned
-		// out-of-band (tests, preloaded tables) — skips the table-dump
-		// phase and goes straight to live.
-		syncing: c.st.prov != nil && !c.st.prov.Provisioned(key),
-		lastMsg: c.now,
-	}
-	c.peers[key] = ps
-	return ps
+	f := event.NewFeed(c.st.cfg.Sink, key, c.st.clock(key), c.now, c.st.feedLogf)
+	c.peers[key] = f
+	return f
 }
 
 // handle demuxes one message. Caller holds c.mu.
@@ -355,7 +316,7 @@ func (c *connState) handle(typ uint8, body []byte) error {
 			return err
 		}
 		key := event.PeerKey{AS: m.Peer.AS, BGPID: m.Peer.BGPID}
-		c.st.logf("bmp: peer up %s (syncing=%v)", key, c.stream(key).syncing)
+		c.st.logf("bmp: peer up %s (syncing=%v)", key, c.feed(key).Syncing())
 		return nil
 	case TypePeerDown:
 		c.st.peerDown.Add(1)
@@ -364,8 +325,8 @@ func (c *connState) handle(typ uint8, body []byte) error {
 			return err
 		}
 		key := event.PeerKey{AS: m.Peer.AS, BGPID: m.Peer.BGPID}
-		if ps, ok := c.peers[key]; ok {
-			c.flush(ps)
+		if f, ok := c.peers[key]; ok {
+			c.flush(key, f)
 			delete(c.peers, key)
 		}
 		c.st.logf("bmp: peer down %s reason %d", key, m.Reason)
@@ -402,9 +363,11 @@ func (c *connState) handle(typ uint8, body []byte) error {
 
 // handleRouteMonitoring is the hot path: peer header + UPDATE, decoded
 // in place (the frame is a view into the read buffer, the UPDATE lands
-// in the connection's reused decoder) and lowered through the peer's
-// event.Builder, which owns the only copy made — the AS path, into its
-// arena. Caller holds c.mu.
+// in the connection's reused decoder) and handed to the peer's feed,
+// whose event.Builder owns the only copy made — the AS path, into its
+// arena. Routers that timestamp their messages give the engines the
+// true burst timeline regardless of replay speed; timestampless routers
+// fall back to the read-burst's wall clock. Caller holds c.mu.
 func (c *connState) handleRouteMonitoring(body []byte) error {
 	b, err := ParsePeerHeader(body, &c.peerHdr)
 	if err != nil {
@@ -417,79 +380,33 @@ func (c *connState) handleRouteMonitoring(body []byte) error {
 	if err := c.upd.Decode(pdu); err != nil {
 		return err
 	}
-
 	key := event.PeerKey{AS: c.peerHdr.AS, BGPID: c.peerHdr.BGPID}
-	ps := c.stream(key)
-	ps.lastMsg = c.now
-	at := c.streamOffset(ps)
-
-	if ps.syncing {
-		// End-of-RIB (RFC 4724): an UPDATE with no withdrawn routes and
-		// no NLRI marks the end of the initial table dump.
-		if len(c.upd.NLRI) == 0 && len(c.upd.Withdrawn) == 0 {
-			c.provisionLocked(ps)
-			return nil
-		}
-		// Learn interns the path, so the decoder's buffer goes in as is.
-		// Withdrawals during a table dump carry no signal; skip them.
-		for _, p := range c.upd.NLRI {
-			c.st.prov.Learn(key, p, c.upd.Attrs.ASPath)
-			ps.learned++
-		}
-		return nil
-	}
-
-	ps.lastAt = at
-	if err := ps.out.Update(key, at, c.upd.Withdrawn, c.upd.NLRI, c.upd.Attrs.ASPath); err != nil {
-		c.st.logf("bmp: peer %s: sink: %v", ps.key, err)
+	if err := c.feed(key).Update(c.peerHdr.Timestamp(), c.now, c.upd.Withdrawn, c.upd.NLRI, c.upd.Attrs.ASPath); err != nil {
+		c.st.logf("bmp: peer %s: sink: %v", key, err)
 	}
 	return nil
 }
 
-// streamOffset converts a message's per-peer header timestamp into the
-// peer's stream offset. Routers that timestamp their messages give the
-// engines the true burst timeline regardless of replay speed;
-// timestampless routers fall back to arrival wall-clock. The clock
-// lives on the station, so a flapping router connection cannot rewind
-// the engine clock.
-func (c *connState) streamOffset(ps *peerStream) time.Duration {
-	ts := c.peerHdr.Timestamp()
-	if ts.IsZero() {
-		ts = c.now
-	} else {
-		ps.sawTimestamp = true
-	}
-	return ps.clock.Offset(ts)
-}
-
-func (c *connState) provisionLocked(ps *peerStream) {
-	ps.syncing = false
-	if err := c.st.prov.Provision(ps.key); err != nil {
-		c.st.logf("bmp: peer %s provision failed after %d routes: %v", ps.key, ps.learned, err)
-		return
-	}
-	c.st.logf("bmp: peer %s provisioned (%d routes learned)", ps.key, ps.learned)
-}
-
-// flush hands ps's pending batch to the sink. Caller holds c.mu.
-func (c *connState) flush(ps *peerStream) {
-	if err := ps.out.Flush(); err != nil {
-		c.st.logf("bmp: peer %s: sink: %v", ps.key, err)
+// flush hands key's pending batch to the sink. Caller holds c.mu.
+func (c *connState) flush(key event.PeerKey, f *event.Feed) {
+	if err := f.Flush(); err != nil {
+		c.st.logf("bmp: peer %s: sink: %v", key, err)
 	}
 }
 
 // flushAll flushes every peer. Caller holds c.mu.
 func (c *connState) flushAll() {
-	for _, ps := range c.peers {
-		c.flush(ps)
+	for key, f := range c.peers {
+		c.flush(key, f)
 	}
 }
 
-// settleLoop periodically provisions peers whose table dump went quiet
-// without an End-of-RIB and ticks live engines so bursts close when
-// the stream does.
+// settleLoop runs every peer's quiet step: it provisions peers whose
+// table dump went quiet without an End-of-RIB, hands batches stranded
+// by a stalled read to the sink, and ticks live engines so bursts close
+// when the stream does.
 func (c *connState) settleLoop(stop <-chan struct{}) {
-	settle := c.st.cfg.tableSettle()
+	settle := c.st.cfg.TableSettle
 	t := time.NewTicker(settle / 4)
 	defer t.Stop()
 	for {
@@ -500,33 +417,9 @@ func (c *connState) settleLoop(stop <-chan struct{}) {
 		}
 		now := time.Now()
 		c.mu.Lock()
-		for _, ps := range c.peers {
-			quiet := now.Sub(ps.lastMsg)
-			if ps.syncing {
-				if ps.learned > 0 && quiet >= settle {
-					c.provisionLocked(ps)
-				}
-				continue
-			}
-			if quiet < settle/4 {
-				continue
-			}
-			// The read loop only flushes when its buffer drains or a
-			// batch fills; a connection stalled mid-message can strand a
-			// sub-batch here. Bound that delay.
-			c.flush(ps)
-			if ps.lastAt > 0 && !ps.sawTimestamp {
-				// Advance the engine clock past the quiet gap so the
-				// burst detector can declare the burst over. Only for
-				// peers in the wall-clock domain: a timestamped stream
-				// runs on the router's clock, and mixing in wall-quiet
-				// would push the engine clock ahead of (or behind) the
-				// stream during replays faster or slower than real
-				// time — those peers' bursts close through their own
-				// message timeline instead.
-				if err := ps.out.Tick(ps.key, ps.lastAt+quiet); err != nil {
-					c.st.logf("bmp: peer %s: sink: %v", ps.key, err)
-				}
+		for key, f := range c.peers {
+			if err := f.Quiet(now, settle); err != nil {
+				c.st.logf("bmp: peer %s: sink: %v", key, err)
 			}
 		}
 		c.mu.Unlock()

@@ -2,12 +2,14 @@ package bmp
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"swift/internal/bgp"
 	"swift/internal/bgpsim"
 	"swift/internal/controller"
+	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/netaddr"
 	swiftengine "swift/internal/swift"
@@ -64,16 +66,14 @@ func (r *bmpRouter) routeMonitoring(key controller.PeerKey, ts time.Time, u *bgp
 	r.send(&RouteMonitoring{Peer: r.header(key, ts), Update: u})
 }
 
-// table streams the initial Adj-RIB-In dump followed by End-of-RIB.
+// table streams the initial Adj-RIB-In dump, one route per UPDATE,
+// followed by End-of-RIB.
 func (r *bmpRouter) table(key controller.PeerKey, routes map[netaddr.Prefix][]uint32) {
-	keys := make([]netaddr.Prefix, 0, len(routes))
-	attrs := make(map[netaddr.Prefix]*bgp.Attrs, len(routes))
 	for p, path := range routes {
-		keys = append(keys, p)
-		attrs[p] = &bgp.Attrs{ASPath: path, HasNextHop: true, NextHop: 0x0a000001}
-	}
-	for _, u := range bgp.PackAnnouncements(keys, attrs) {
-		r.routeMonitoring(key, r.epoch, u)
+		r.routeMonitoring(key, r.epoch, &bgp.Update{
+			Attrs: bgp.Attrs{ASPath: path, HasNextHop: true, NextHop: 0x0a000001},
+			NLRI:  []netaddr.Prefix{p},
+		})
 	}
 	r.routeMonitoring(key, r.epoch, &bgp.Update{}) // End-of-RIB
 }
@@ -392,5 +392,63 @@ func TestStationReconnectKeepsClock(t *testing.T) {
 	session(20 * time.Second)
 	if got := h.LastAt(); got != 10*time.Second {
 		t.Errorf("after reconnect LastAt = %v, want 10s (clock re-anchored)", got)
+	}
+}
+
+// TestStationTicksFirstBurstPeer: a timestampless peer whose whole live
+// stream arrives in its first read-burst sits at stream offset 0, and
+// it must still be ticked once the stream goes quiet, or a burst opened
+// there could only close on a later message.
+func TestStationTicksFirstBurstPeer(t *testing.T) {
+	var mu sync.Mutex
+	var events []event.Event
+	sink := event.SinkFunc(func(b event.Batch) error {
+		mu.Lock()
+		events = append(events, b...)
+		mu.Unlock()
+		return nil
+	})
+	st := NewStation(StationConfig{Sink: sink, TableSettle: 80 * time.Millisecond})
+	router, collector := net.Pipe()
+	defer router.Close()
+	go st.ServeConn(collector)
+
+	key := controller.PeerKey{AS: 2, BGPID: 6}
+	r := &bmpRouter{t: t, epoch: time.Now()}
+	r.peerUp(key)
+	for i := range 3 {
+		r.routeMonitoring(key, time.Time{}, &bgp.Update{Withdrawn: []netaddr.Prefix{netaddr.PrefixFor(8, i)}})
+	}
+	if _, err := router.Write(r.wire); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.After(10 * time.Second)
+	for {
+		mu.Lock()
+		var withdrawals, ticks int
+		for _, ev := range events {
+			switch ev.Kind {
+			case event.KindWithdraw:
+				withdrawals++
+				if ev.At != 0 {
+					t.Errorf("withdrawal at %v, want 0 (one read-burst)", ev.At)
+				}
+			case event.KindTick:
+				ticks++
+				if ev.At <= 0 {
+					t.Errorf("tick at %v, want past the burst", ev.At)
+				}
+			}
+		}
+		mu.Unlock()
+		if withdrawals == 3 && ticks > 0 {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("%d withdrawals, %d ticks: the quiet peer was never ticked", withdrawals, ticks)
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
 }

@@ -167,7 +167,7 @@ func TestFleetFusionVerdictFanOut(t *testing.T) {
 		t.Errorf("verdict supporters = %d, want >= 2", v.Supporters)
 	}
 	ext := false
-	quiet.Do(func(e *swiftengine.Engine) { ext = e.ExternalActive() })
+	quiet.Do(func(e *swiftengine.Engine) { ext = e.ExportState().ExtActive })
 	if !ext {
 		t.Error("quiet peer did not receive the external verdict")
 	}

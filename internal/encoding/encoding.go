@@ -420,12 +420,6 @@ func (s *Scheme) TagFor(p netaddr.Prefix) (Tag, bool) {
 // slice is owned by the scheme and must not be modified.
 func (s *Scheme) Tags() []TagAssignment { return s.tags }
 
-// NextHopID returns the dictionary value of a next-hop AS.
-func (s *Scheme) NextHopID(as uint32) (uint64, bool) {
-	id, ok := s.nhIDs[as]
-	return id, ok
-}
-
 // LinkEncoded reports whether link l has a dictionary slot at depth d.
 func (s *Scheme) LinkEncoded(l topology.Link, d int) bool {
 	if d < 2 || d > s.cfg.MaxDepth {

@@ -749,28 +749,3 @@ func (t *Tracker) setFS(links []topology.Link) float64 {
 	ps := float64(w) / float64(w+p)
 	return stats.WeightedGeoMean2(ws, t.cfg.WWS, ps, t.cfg.WPS)
 }
-
-// CommonEndpoint returns the endpoint shared by every link in the set,
-// or (0, false) when there is none. The reroute layer avoids paths
-// through this endpoint to stay safe under aggregated inferences (§4.2).
-func CommonEndpoint(links []topology.Link) (uint32, bool) {
-	if len(links) == 0 {
-		return 0, false
-	}
-	if len(links) == 1 {
-		return 0, false // a single link has two candidate endpoints
-	}
-	for _, cand := range []uint32{links[0].A, links[0].B} {
-		all := true
-		for _, l := range links[1:] {
-			if !l.Has(cand) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return cand, true
-		}
-	}
-	return 0, false
-}

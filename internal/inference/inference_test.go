@@ -271,30 +271,16 @@ func TestAggregationForNodeFailure(t *testing.T) {
 	if len(res.Links) < 2 {
 		t.Fatalf("aggregation expected, got %v (scores %+v)", res.Links, tr.Scores())
 	}
-	common, ok := CommonEndpoint(res.Links)
-	if !ok || common != 6 {
-		t.Errorf("common endpoint = %d, %v; want 6 (links %v)", common, ok, res.Links)
+	for _, l := range res.Links {
+		if !l.Has(6) {
+			t.Errorf("link %v does not share endpoint 6 (links %v)", l, res.Links)
+		}
 	}
 	// The predicted set must not drag in the surviving heavy origins.
 	for _, p := range tr.PredictedPrefixes(res) {
 		if o, _, _ := netaddr.PrefixOrigin(p); o == 5 || o == 9 {
 			t.Fatalf("prediction reroutes unaffected origin %d", o)
 		}
-	}
-}
-
-func TestCommonEndpoint(t *testing.T) {
-	if _, ok := CommonEndpoint(nil); ok {
-		t.Error("empty set has no common endpoint")
-	}
-	if _, ok := CommonEndpoint([]topology.Link{link(1, 2)}); ok {
-		t.Error("single link is ambiguous")
-	}
-	if c, ok := CommonEndpoint([]topology.Link{link(5, 6), link(6, 7)}); !ok || c != 6 {
-		t.Errorf("common = %d, %v", c, ok)
-	}
-	if _, ok := CommonEndpoint([]topology.Link{link(1, 2), link(3, 4)}); ok {
-		t.Error("disjoint links share nothing")
 	}
 }
 

@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -57,7 +58,7 @@ func TestBGP4MPRoundTrip(t *testing.T) {
 	if err := got2.Decode(m2.Body); err != nil {
 		t.Fatal(err)
 	}
-	if !got2.IsWithdrawalOnly() {
+	if len(got2.NLRI) != 0 || len(got2.Withdrawn) == 0 {
 		t.Error("record 2 should be withdrawal-only")
 	}
 	if _, err := r.NextBGP4MP(); err != io.EOF {
@@ -151,7 +152,7 @@ func TestTableDumpRoundTrip(t *testing.T) {
 	if rec1.Type != TypeTableDumpV2 || rec1.Subtype != SubtypePeerIndexTable {
 		t.Fatalf("record 1 = %d/%d", rec1.Type, rec1.Subtype)
 	}
-	cid, gotPeers, err := DecodePeerIndexTable(rec1.Body)
+	cid, gotPeers, err := decodePeerIndexTable(rec1.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,4 +373,51 @@ func TestWalkRIBIPv4ReuseMatchesFresh(t *testing.T) {
 	if len(fresh) != 6 {
 		t.Fatalf("flattened %d entries, want 6", len(fresh))
 	}
+}
+
+// decodePeerIndexTable decodes a PEER_INDEX_TABLE body, the record
+// WritePeerIndexTable writes and the RIB walkers skip.
+func decodePeerIndexTable(body []byte) (collectorID uint32, peers []PeerEntry, err error) {
+	if len(body) < 6 {
+		return 0, nil, ErrTruncated
+	}
+	collectorID = binary.BigEndian.Uint32(body[0:4])
+	nameLen := int(binary.BigEndian.Uint16(body[4:6]))
+	if len(body) < 6+nameLen+2 {
+		return 0, nil, ErrTruncated
+	}
+	b := body[6+nameLen:]
+	count := int(binary.BigEndian.Uint16(b[0:2]))
+	b = b[2:]
+	for i := 0; i < count; i++ {
+		if len(b) < 1 {
+			return 0, nil, ErrTruncated
+		}
+		typ := b[0]
+		b = b[1:]
+		var p PeerEntry
+		addrLen, asLen := 4, 2
+		if typ&0x01 != 0 {
+			addrLen = 16
+		}
+		if typ&0x02 != 0 {
+			asLen = 4
+		}
+		need := 4 + addrLen + asLen
+		if len(b) < need {
+			return 0, nil, ErrTruncated
+		}
+		p.ID = binary.BigEndian.Uint32(b[0:4])
+		if addrLen == 4 {
+			p.IP = binary.BigEndian.Uint32(b[4:8])
+		}
+		if asLen == 4 {
+			p.AS = binary.BigEndian.Uint32(b[4+addrLen:])
+		} else {
+			p.AS = uint32(binary.BigEndian.Uint16(b[4+addrLen:]))
+		}
+		b = b[need:]
+		peers = append(peers, p)
+	}
+	return collectorID, peers, nil
 }

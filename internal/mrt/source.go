@@ -32,10 +32,6 @@ type Source struct {
 	// Epoch anchors the stream clock; events carry At = ts - Epoch.
 	// Zero selects the first update record's timestamp.
 	Epoch time.Time
-	// BatchEvents caps how many events one batch carries (default
-	// event.DefaultBatchEvents). Batches never split one UPDATE's events
-	// across deliveries.
-	BatchEvents int
 	// FinalTick, when positive, emits one closing tick this far past
 	// the last event, so the sink's burst detectors close any burst
 	// still open at end of archive.
@@ -66,7 +62,7 @@ func (s *Source) Run(sink event.Sink) error {
 
 	r := NewReader(s.Updates)
 	var dec bgp.UpdateDecoder
-	out := event.NewBuilder(sink, s.BatchEvents)
+	out := event.NewBuilder(sink, 0)
 	epoch := s.Epoch
 	lastAt := time.Duration(-1)
 	// Peers seen, in first-seen order, so a FinalTick closes every

@@ -135,52 +135,6 @@ func WalkRIBIPv4Reuse(r io.Reader, fn func(*RIBRecord) error) error {
 	})
 }
 
-// DecodePeerIndexTable decodes a PEER_INDEX_TABLE body.
-func DecodePeerIndexTable(body []byte) (collectorID uint32, peers []PeerEntry, err error) {
-	if len(body) < 6 {
-		return 0, nil, ErrTruncated
-	}
-	collectorID = binary.BigEndian.Uint32(body[0:4])
-	nameLen := int(binary.BigEndian.Uint16(body[4:6]))
-	if len(body) < 6+nameLen+2 {
-		return 0, nil, ErrTruncated
-	}
-	b := body[6+nameLen:]
-	count := int(binary.BigEndian.Uint16(b[0:2]))
-	b = b[2:]
-	for i := 0; i < count; i++ {
-		if len(b) < 1 {
-			return 0, nil, ErrTruncated
-		}
-		typ := b[0]
-		b = b[1:]
-		var p PeerEntry
-		addrLen, asLen := 4, 2
-		if typ&0x01 != 0 {
-			addrLen = 16
-		}
-		if typ&0x02 != 0 {
-			asLen = 4
-		}
-		need := 4 + addrLen + asLen
-		if len(b) < need {
-			return 0, nil, ErrTruncated
-		}
-		p.ID = binary.BigEndian.Uint32(b[0:4])
-		if addrLen == 4 {
-			p.IP = binary.BigEndian.Uint32(b[4:8])
-		}
-		if asLen == 4 {
-			p.AS = binary.BigEndian.Uint32(b[4+addrLen:])
-		} else {
-			p.AS = uint32(binary.BigEndian.Uint16(b[4+addrLen:]))
-		}
-		b = b[need:]
-		peers = append(peers, p)
-	}
-	return collectorID, peers, nil
-}
-
 // DecodeRIBIPv4 decodes a RIB_IPV4_UNICAST body into a fresh record
 // the caller may retain.
 func DecodeRIBIPv4(body []byte) (*RIBRecord, error) {

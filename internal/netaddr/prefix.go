@@ -181,14 +181,3 @@ func PrefixOrigin(p Prefix) (origin uint32, index int, ok bool) {
 	}
 	return p.Addr() >> 20, int(p.Addr() & (1<<20 - 1)), true
 }
-
-// OriginOf inverts BlockFor: it recovers the (origin, index) pair encoded
-// in a /24 produced by BlockFor. ok is false for prefixes outside the
-// deterministic layout.
-func OriginOf(p Prefix) (origin uint32, index int, ok bool) {
-	if !p.IsValid() || p.Len() != 24 {
-		return 0, 0, false
-	}
-	n := p.Addr() >> 8
-	return n >> 8, int(n & 0xff), true
-}

@@ -100,8 +100,8 @@ func TestBlockForRoundTrip(t *testing.T) {
 			// sentinel; all other combinations must be valid.
 			return origin == 0 && idx == 0
 		}
-		o, i, ok := OriginOf(p)
-		return ok && o == uint32(origin) && i == int(idx)
+		n := p.Addr() >> 8
+		return p.Len() == 24 && n>>8 == uint32(origin) && n&0xff == uint32(idx)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -207,7 +207,7 @@ func TestRandomizedPoolBaseline(t *testing.T) {
 	if pool.Len() != 0 {
 		t.Fatalf("pool leaks %d paths after drain", pool.Len())
 	}
-	for _, l := range tb.ActiveLinks() {
+	for _, l := range activeLinks(tb) {
 		t.Errorf("active link %v on empty table", l)
 	}
 }

@@ -598,18 +598,6 @@ func (t *Table) PrefixesOnAny(links []topology.Link) []netaddr.Prefix {
 	return netaddr.DedupSorted(out)
 }
 
-// ActiveLinks returns every link currently carrying at least one prefix.
-// The order is unspecified.
-func (t *Table) ActiveLinks() []topology.Link {
-	var out []topology.Link
-	for id, n := range t.onLink {
-		if n > 0 {
-			out = append(out, t.pool.LinkAt(LinkID(id)))
-		}
-	}
-	return out
-}
-
 // ForEach calls fn for every (prefix, path) pair. Iteration order is
 // unspecified; fn must not mutate the table.
 func (t *Table) ForEach(fn func(p netaddr.Prefix, path []uint32)) {

@@ -123,15 +123,32 @@ func TestPrefixesOnAnyUnion(t *testing.T) {
 	}
 }
 
+// activeLinks returns every link the table's per-link counters show
+// carrying at least one prefix, in LinkID order.
+func activeLinks(t *Table) []topology.Link {
+	var out []topology.Link
+	for id, n := range t.onLink {
+		if n > 0 {
+			out = append(out, t.pool.LinkAt(LinkID(id)))
+		}
+	}
+	return out
+}
+
 func TestActiveLinks(t *testing.T) {
 	tb := New(1)
 	tb.Announce(netaddr.PrefixFor(6, 0), []uint32{2, 5, 6})
-	links := tb.ActiveLinks()
+	links := activeLinks(tb)
 	if len(links) != 3 {
 		t.Errorf("active links = %v", links)
 	}
+	for _, l := range links {
+		if tb.OnLink(l) != 1 {
+			t.Errorf("OnLink(%v) = %d, want 1", l, tb.OnLink(l))
+		}
+	}
 	tb.Withdraw(netaddr.PrefixFor(6, 0))
-	if len(tb.ActiveLinks()) != 0 {
+	if len(activeLinks(tb)) != 0 {
 		t.Error("links must disappear with their last prefix")
 	}
 }
@@ -194,12 +211,12 @@ func TestIndexConsistencyProperty(t *testing.T) {
 		if fresh.Len() != tb.Len() {
 			return false
 		}
-		for _, l := range fresh.ActiveLinks() {
+		for _, l := range activeLinks(fresh) {
 			if tb.OnLink(l) != fresh.OnLink(l) {
 				return false
 			}
 		}
-		for _, l := range tb.ActiveLinks() {
+		for _, l := range activeLinks(tb) {
 			if tb.OnLink(l) != fresh.OnLink(l) {
 				return false
 			}
@@ -294,7 +311,7 @@ func checkGroups(tb *Table) error {
 		return fmt.Errorf("%d groups flagged parked, %d on the stack", flagged, len(onStack))
 	}
 
-	active := tb.ActiveLinks()
+	active := activeLinks(tb)
 	var set LinkSet
 	for i, l := range active {
 		sets := [][]topology.Link{{l}}

@@ -6,7 +6,7 @@
 // only allocations ever made are at construction).
 //
 // The consumer side is strictly single-goroutine — exactly one worker
-// owns Pop/PopBatch — which keeps dequeue free of compare-and-swap
+// owns Pop/PopBatchWait — which keeps dequeue free of compare-and-swap
 // loops. The producer side is multi-producer safe (a CAS claims a
 // cell), degenerating to the uncontended SPSC fast path when a single
 // source feeds the ring; the fleet needs this because any number of
@@ -149,17 +149,6 @@ func (r *Ring[T]) Push(v T) bool {
 	}
 }
 
-// PushBatch enqueues every value of b in order, blocking as needed. It
-// returns the number pushed — short only if the ring closes mid-batch.
-func (r *Ring[T]) PushBatch(b []T) int {
-	for i, v := range b {
-		if !r.Push(v) {
-			return i
-		}
-	}
-	return len(b)
-}
-
 // TryPop dequeues one value without blocking. ok is false when the
 // ring is empty (closed or not). Single consumer only.
 func (r *Ring[T]) TryPop() (v T, ok bool) {
@@ -217,23 +206,10 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// PopBatch drains up to cap(dst) buffered values into dst[:0] without
-// blocking, returning the filled prefix. Single consumer only.
-func (r *Ring[T]) PopBatch(dst []T) []T {
-	dst = dst[:0]
-	for len(dst) < cap(dst) {
-		v, ok := r.TryPop()
-		if !ok {
-			break
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}
-
-// PopBatchWait is PopBatch that blocks for the first value: it returns
-// a non-empty prefix, or an empty one only when the ring is closed and
-// drained. Single consumer only.
+// PopBatchWait blocks for one value, then drains up to cap(dst) values
+// in all into dst[:0] without blocking again, returning the filled
+// prefix: a non-empty one, or an empty one only when the ring is closed
+// and drained. Single consumer only.
 func (r *Ring[T]) PopBatchWait(dst []T) []T {
 	v, ok := r.Pop()
 	if !ok {

@@ -173,13 +173,15 @@ func TestCloseWakesBlockedSides(t *testing.T) {
 
 func TestBatchOps(t *testing.T) {
 	r := New[int](8)
-	if n := r.PushBatch([]int{1, 2, 3, 4, 5}); n != 5 {
-		t.Fatalf("PushBatch = %d, want 5", n)
+	for v := 1; v <= 5; v++ {
+		if !r.Push(v) {
+			t.Fatalf("Push(%d) refused", v)
+		}
 	}
 	buf := make([]int, 0, 3)
-	buf = r.PopBatch(buf)
+	buf = r.PopBatchWait(buf)
 	if len(buf) != 3 || buf[0] != 1 || buf[2] != 3 {
-		t.Fatalf("PopBatch = %v, want [1 2 3]", buf)
+		t.Fatalf("PopBatchWait = %v, want [1 2 3] (capped by cap(dst))", buf)
 	}
 	buf = r.PopBatchWait(buf)
 	if len(buf) != 2 || buf[0] != 4 || buf[1] != 5 {

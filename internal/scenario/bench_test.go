@@ -14,7 +14,7 @@ func BenchmarkScenarioEval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := sc.Eval()
+		rep, err := sc.Eval(false)
 		if err != nil {
 			b.Fatal(err)
 		}

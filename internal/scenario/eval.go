@@ -100,18 +100,15 @@ type peerState struct {
 // Eval replays the scenario and scores packet-level loss with SWIFT
 // enabled (the engine fleet's FIBs, fast-reroute overlay included) and
 // disabled (the vanilla per-prefix-write router) on the same stream.
-func (sc *Scenario) Eval() (*Report, error) { return sc.eval(false) }
-
-// EvalFused evaluates the scenario with fleet-level evidence fusion
-// enabled: the sessions share one fusion.Aggregator, wrong-link
-// inferences conflicting with stronger fleet evidence are vetoed, and
-// confirmed verdicts pre-trigger reroutes on lagging sessions. The
-// stream is delivered in per-peer segments with sync barriers in
-// between, so evidence reaches the aggregator in exact stream order and
-// the run is byte-deterministic like the per-peer one.
-func (sc *Scenario) EvalFused() (*Report, error) { return sc.eval(true) }
-
-func (sc *Scenario) eval(fused bool) (*Report, error) {
+//
+// fused enables fleet-level evidence fusion: the sessions share one
+// fusion.Aggregator, wrong-link inferences conflicting with stronger
+// fleet evidence are vetoed, and confirmed verdicts pre-trigger
+// reroutes on lagging sessions. The stream is then delivered in
+// per-peer segments with sync barriers in between, so evidence reaches
+// the aggregator in exact stream order and the run is byte-deterministic
+// like the per-peer one.
+func (sc *Scenario) Eval(fused bool) (*Report, error) {
 	spec := sc.Spec
 
 	// 1. Capture the interleaved multi-session stream once.
@@ -551,7 +548,7 @@ func (pe *peerState) report() PeerReport {
 // RunMode builds and evaluates every scenario of the named matrix,
 // fanning scenarios out over the available cores; the report order is
 // the matrix order, so the output is deterministic regardless of
-// parallelism. fused enables fleet-level evidence fusion (EvalFused)
+// parallelism. fused enables fleet-level evidence fusion (see Eval)
 // on every scenario.
 func RunMode(matrix string, seed int64, fused bool) (*MatrixReport, error) {
 	specs, err := Matrix(matrix, seed)
@@ -618,5 +615,5 @@ func evalSpec(spec Spec, fused bool) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sc.eval(fused)
+	return sc.Eval(fused)
 }

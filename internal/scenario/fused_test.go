@@ -142,7 +142,7 @@ func TestFusedMultiPeerEngagement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sc.EvalFused()
+		rep, err := sc.Eval(true)
 		if err != nil {
 			t.Fatal(err)
 		}

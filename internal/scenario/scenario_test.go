@@ -162,7 +162,7 @@ func TestPredictionMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sc.Eval()
+	rep, err := sc.Eval(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFlapScenario(t *testing.T) {
 	if !sc.oracleValid(2, 8, sc.recoverAt) {
 		t.Error("oracle invalid via AS2 after recovery")
 	}
-	rep, err := sc.Eval()
+	rep, err := sc.Eval(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMultiPeerScoring(t *testing.T) {
 	if len(sc.Sessions) != 3 {
 		t.Fatalf("sessions = %d, want 3", len(sc.Sessions))
 	}
-	rep, err := sc.Eval()
+	rep, err := sc.Eval(false)
 	if err != nil {
 		t.Fatal(err)
 	}

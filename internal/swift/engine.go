@@ -699,10 +699,6 @@ func (e *Engine) ClearExternal(at time.Duration) error {
 // Vetoed returns how many inferences the fusion conflict gate deferred.
 func (e *Engine) Vetoed() int { return e.vetoed }
 
-// ExternalActive reports whether an externally-confirmed verdict is
-// currently applied.
-func (e *Engine) ExternalActive() bool { return e.extActive }
-
 // ReroutePriority is the stage-2 priority of SWIFT's fast-reroute
 // rules; fleet-confirmed external verdicts install one notch below at
 // ExternalReroutePriority (a fresher local inference wins on overlap),
@@ -771,15 +767,6 @@ func (e *Engine) Release() {
 	for _, t := range e.alts {
 		t.Release()
 	}
-}
-
-// InferredLinks returns the links of the most recent decision (nil when
-// none).
-func (e *Engine) InferredLinks() []topology.Link {
-	if len(e.decisions) == 0 {
-		return nil
-	}
-	return e.decisions[len(e.decisions)-1].Result.Links
 }
 
 func (e *Engine) logf(format string, args ...any) {

@@ -13,7 +13,6 @@ import (
 	"io"
 	"log"
 	"strings"
-	"sync/atomic"
 )
 
 // Level is a log severity.
@@ -67,28 +66,19 @@ func ParseLevel(s string) (Level, error) {
 // so optional Logf wiring needs no guards. Methods are safe for
 // concurrent use.
 type Logger struct {
-	min atomic.Int32
+	min Level
 	out *log.Logger
 }
 
 // New builds a logger writing to w with the given severity floor,
 // stamped with the standard date/time flags.
 func New(w io.Writer, min Level) *Logger {
-	l := &Logger{out: log.New(w, "", log.LstdFlags)}
-	l.min.Store(int32(min))
-	return l
-}
-
-// SetLevel changes the severity floor at runtime.
-func (l *Logger) SetLevel(min Level) {
-	if l != nil {
-		l.min.Store(int32(min))
-	}
+	return &Logger{min: min, out: log.New(w, "", log.LstdFlags)}
 }
 
 // Enabled reports whether lvl would be emitted.
 func (l *Logger) Enabled(lvl Level) bool {
-	return l != nil && lvl >= Level(l.min.Load())
+	return l != nil && lvl >= l.min
 }
 
 // Logf emits one line at lvl.

@@ -19,12 +19,6 @@ func TestLevelFiltering(t *testing.T) {
 	if !strings.Contains(out, "WARN w 3") || !strings.Contains(out, "ERROR e 4") {
 		t.Errorf("expected lines missing:\n%s", out)
 	}
-
-	l.SetLevel(Debug)
-	l.Debugf("d %d", 5)
-	if !strings.Contains(buf.String(), "DEBUG d 5") {
-		t.Error("SetLevel(Debug) did not enable debug lines")
-	}
 }
 
 func TestParseLevel(t *testing.T) {

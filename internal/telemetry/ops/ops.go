@@ -42,8 +42,6 @@ type Config struct {
 	// Station, when set, has its ingestion counters exported under
 	// swift_station_*.
 	Station *bmp.Station
-	// Healthy, when set, gates /healthz; nil means always healthy.
-	Healthy func() bool
 	// Snapshot, when set, backs POST /snapshot: it checkpoints the
 	// fleet to durable storage and returns when the snapshot is on
 	// disk (405 on GET, 404 when unset).
@@ -70,10 +68,6 @@ func NewHandler(cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", cfg.Registry)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Healthy != nil && !cfg.Healthy() {
-			http.Error(w, "unhealthy", http.StatusServiceUnavailable)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
 		if cfg.RestoreStatus != nil {

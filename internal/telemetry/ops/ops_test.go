@@ -28,12 +28,10 @@ func TestHandlerEndpoints(t *testing.T) {
 	}))
 	defer fleet.Close()
 
-	healthy := true
 	h := NewHandler(Config{
 		Registry: reg,
 		Ring:     ring,
 		Fleet:    fleet,
-		Healthy:  func() bool { return healthy },
 	})
 
 	k := controller.PeerKey{AS: 2, BGPID: 1}
@@ -53,10 +51,6 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	if rec := get("/healthz"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "ok") {
 		t.Errorf("/healthz = %d %q", rec.Code, rec.Body.String())
-	}
-	healthy = false
-	if rec := get("/healthz"); rec.Code != 503 {
-		t.Errorf("unhealthy /healthz = %d, want 503", rec.Code)
 	}
 
 	rec := get("/metrics")
