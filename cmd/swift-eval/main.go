@@ -95,17 +95,30 @@ func main() {
 	}
 	if *out != "" {
 		buf = append(buf, '\n')
-		if err := writeFileAtomic(*out, buf); err != nil {
+		if err := writeReport(*out, buf); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "swift-eval: report written to %s\n", *out)
 	}
 }
 
-// writeFileAtomic writes via a temp file in the target directory plus
-// rename, so an interrupted run never leaves a truncated report for
-// CI's byte-compare to trip over.
-func writeFileAtomic(path string, data []byte) error {
+// writeReport writes a regular file via a temp file in the target
+// directory plus rename, so an interrupted run never leaves a truncated
+// report for CI's byte-compare to trip over. A target that exists and
+// is not a regular file (a device such as /dev/null, a pipe) is written
+// in place instead: renaming over it would replace the node itself.
+func writeReport(path string, data []byte) error {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		if _, err := f.Write(data); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -43,7 +43,8 @@
 package fusion
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -488,11 +489,11 @@ func (a *Aggregator) Snapshot(now time.Duration) (v Verdict, ok bool) {
 			v.Supporters = supporters
 		}
 	}
-	sort.Slice(v.Links, func(i, j int) bool {
-		if v.Links[i].A != v.Links[j].A {
-			return v.Links[i].A < v.Links[j].A
+	slices.SortFunc(v.Links, func(a, b topology.Link) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		return v.Links[i].B < v.Links[j].B
+		return cmp.Compare(a.B, b.B)
 	})
 	// The conservative prediction: prefixes some supporter has already
 	// seen withdrawn across a confirmed link.

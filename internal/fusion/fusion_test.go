@@ -325,3 +325,27 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("peers=%d bursting=%d, want 2/2", st.Peers, st.Bursting)
 	}
 }
+
+// TestProposeCopiesWithdrawn pins that the aggregator keeps its own
+// copy of a proposal's Withdrawn set: engines pass a slice of their
+// reused decision scratch and overwrite it on the next decision.
+func TestProposeCopiesWithdrawn(t *testing.T) {
+	a := newTestAgg(Config{})
+	a.BurstStart(peerA, ms(10))
+	a.BurstStart(peerB, ms(20))
+	scratch := []netaddr.Prefix{netaddr.PrefixFor(8, 0), netaddr.PrefixFor(8, 1)}
+	p := prop(peerA, ms(30), 0.90, linkX)
+	p.Withdrawn = scratch
+	a.Propose(p)
+	for i := range scratch {
+		scratch[i] = netaddr.PrefixFor(9, i)
+	}
+	v, ok := a.Snapshot(ms(30))
+	if !ok {
+		t.Fatal("strong proposal with 2 bursting peers should confirm")
+	}
+	want := []netaddr.Prefix{netaddr.PrefixFor(8, 0), netaddr.PrefixFor(8, 1)}
+	if len(v.Predicted) != len(want) || v.Predicted[0] != want[0] || v.Predicted[1] != want[1] {
+		t.Errorf("verdict predicts %v after the proposer reused its buffer, want %v", v.Predicted, want)
+	}
+}

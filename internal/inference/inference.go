@@ -6,13 +6,14 @@
 //
 // The tracker runs on the interned RIB core: withdrawn paths are kept
 // alive by reference for the duration of a burst, W(l, t) is a dense
-// per-LinkID counter, withdrawn prefixes are grouped per PathID, and
-// every set union the aggregation step needs is computed by testing the
-// handful of unique paths against the link set instead of folding
-// per-prefix hash sets. Steady-state observation allocates nothing, and
-// neither does a new burst whose withdrawals land on other paths than
-// the last one's: Reset parks the emptied prefix groups, and the next
-// burst's groups take their arrays whatever PathIDs they start on.
+// per-LinkID counter, withdrawn prefixes are grouped per path in dense
+// slots numbered by first withdrawal, and every set union the
+// aggregation step needs is computed by testing the handful of unique
+// paths against the link set instead of folding per-prefix hash sets.
+// Steady-state observation allocates nothing, and neither does a new
+// burst whose withdrawals land on other paths than the last one's:
+// Reset empties the groups in place, and the next burst's k-th path
+// fills the array slot k kept, whatever its PathID.
 package inference
 
 import (
@@ -106,19 +107,23 @@ type Tracker struct {
 	wLinks []rib.LinkID
 
 	// wPaths holds one owned reference per unique path withdrawn this
-	// burst, pinning its PathID for the burst's lifetime; wByPath groups
-	// the withdrawn prefixes by that PathID. Set unions over withdrawn
-	// prefixes — the multi-link aggregation of §4.2 — test each of these
-	// few paths against the link set and sum group sizes.
+	// burst, in first-withdrawal order, pinning its PathID for the
+	// burst's lifetime; wGroups[k] holds the prefixes withdrawn over
+	// wPaths[k]. Set unions over withdrawn prefixes — the multi-link
+	// aggregation of §4.2 — test each of these few paths against the
+	// link set and sum group sizes.
 	//
-	// Reset truncates the groups in place and pushes their ids on
-	// parked. A group first touched on a slot with no capacity takes
-	// the array of the newest parked group still empty, so the next
-	// burst's groups, which land on other PathIDs, reuse this burst's
-	// arrays instead of growing new ones.
+	// wSlot maps a pool-scoped PathID to its slot plus one: 4 bytes per
+	// id the pool has numbered, the tracker's only per-path structure
+	// sized by the fleet rather than by its own burst. An entry counts
+	// only while it names a slot below len(wPaths) whose path has that
+	// id, so Reset never clears it. Reset truncates the groups in place;
+	// the next burst's k-th path takes slot k and refills its array, so
+	// bursts over other PathIDs reuse this burst's arrays instead of
+	// growing new ones.
 	wPaths  []rib.PathHandle
-	wByPath []wGroup
-	parked  []rib.PathID
+	wGroups [][]netaddr.Prefix
+	wSlot   []uint32
 
 	// wSeen records each withdrawn prefix's path; multi lists, for the
 	// rare prefix withdrawn more than once in a burst (path exploration:
@@ -154,13 +159,6 @@ type Tracker struct {
 	// scratch
 	idBuf []rib.LinkID
 	set   rib.LinkSet
-}
-
-// wGroup is one PathID's withdrawn prefixes; parked is set while the
-// id sits on the tracker's parked stack (at most once).
-type wGroup struct {
-	prefixes []netaddr.Prefix
-	parked   bool
 }
 
 // NewTracker wraps a session RIB and registers itself as the table's
@@ -210,21 +208,15 @@ func (t *Tracker) Received() int { return t.totalW }
 
 // Reset clears burst state (on burst end, or after rerouting when BGP
 // has reconverged), reusing every buffer: counters are zeroed through
-// the touched lists, prefix groups are truncated in place and parked
-// for the next burst, and the held path references go back to the
-// pool.
+// the touched lists, prefix groups are truncated in place for the next
+// burst, and the held path references go back to the pool.
 func (t *Tracker) Reset() {
 	for _, id := range t.wLinks {
 		t.wCount[id] = 0
 	}
 	t.wLinks = t.wLinks[:0]
-	for _, h := range t.wPaths {
-		g := &t.wByPath[h.ID()]
-		g.prefixes = g.prefixes[:0]
-		if !g.parked {
-			g.parked = true
-			t.parked = append(t.parked, h.ID())
-		}
+	for k, h := range t.wPaths {
+		t.wGroups[k] = t.wGroups[k][:0]
 		t.rib.ReleaseHandle(h)
 	}
 	t.wPaths = t.wPaths[:0]
@@ -262,22 +254,16 @@ func (t *Tracker) ObserveWithdraw(p netaddr.Prefix) {
 		t.wCount[id]++
 		t.markDirty(id)
 	}
-	pid := int(h.ID())
-	if pid >= len(t.wByPath) {
-		grown := make([]wGroup, pid+1+pid/2)
-		copy(grown, t.wByPath)
-		t.wByPath = grown
-	}
-	g := &t.wByPath[pid]
-	if len(g.prefixes) == 0 {
+	k := t.wSlotOf(h.ID())
+	if k == len(t.wPaths) {
 		t.wPaths = append(t.wPaths, h) // first touch: keep the reference
-		if cap(g.prefixes) == 0 {
-			g.prefixes = t.takeParked()
+		if k == len(t.wGroups) {
+			t.wGroups = append(t.wGroups, nil)
 		}
 	} else {
 		t.rib.ReleaseHandle(h) // burst already holds one
 	}
-	g.prefixes = append(g.prefixes, p)
+	t.wGroups[k] = append(t.wGroups[k], p)
 
 	// Duplicate-withdrawal bookkeeping for exact unions. First-withdrawal
 	// is the overwhelmingly common case, so it pays exactly one flat-map
@@ -293,21 +279,19 @@ func (t *Tracker) ObserveWithdraw(p netaddr.Prefix) {
 	}
 }
 
-// takeParked detaches and returns the array of the most recently
-// parked group that is still empty, or nil when none is left; entries
-// whose group this burst refilled or another group took are dropped.
-func (t *Tracker) takeParked() []netaddr.Prefix {
-	for n := len(t.parked); n > 0; n-- {
-		g := &t.wByPath[t.parked[n-1]]
-		t.parked = t.parked[:n-1]
-		g.parked = false
-		if len(g.prefixes) == 0 && cap(g.prefixes) > 0 {
-			buf := g.prefixes
-			g.prefixes = nil
-			return buf
-		}
+// wSlotOf returns the slot of id's group this burst, or len(wPaths)
+// — the next free slot, now mapped to id — when id has none yet.
+func (t *Tracker) wSlotOf(id rib.PathID) int {
+	if int(id) >= len(t.wSlot) {
+		grown := make([]uint32, int(id)+1+int(id)/8)
+		copy(grown, t.wSlot)
+		t.wSlot = grown
+	} else if k := int(t.wSlot[id]) - 1; k >= 0 && k < len(t.wPaths) && t.wPaths[k].ID() == id {
+		return k
 	}
-	return nil
+	k := len(t.wPaths)
+	t.wSlot[id] = uint32(k + 1)
+	return k
 }
 
 func (t *Tracker) growW(id rib.LinkID) {
@@ -505,20 +489,20 @@ func (t *Tracker) AppendPredicted(dst []netaddr.Prefix, links []topology.Link) [
 func (t *Tracker) AppendWithdrawnOn(dst []netaddr.Prefix, links []topology.Link) []netaddr.Prefix {
 	t.rib.FillLinkSet(&t.set, links)
 	if len(t.multi) == 0 {
-		for _, h := range t.wPaths {
+		for k, h := range t.wPaths {
 			if t.rib.PathCrossesSet(h, &t.set) {
-				dst = append(dst, t.wByPath[h.ID()].prefixes...)
+				dst = append(dst, t.wGroups[k]...)
 			}
 		}
 		return dst
 	}
 	// Multi-withdrawn prefixes can sit in several path groups (and
 	// twice in one); emit them from the multi index instead, once.
-	for _, h := range t.wPaths {
+	for k, h := range t.wPaths {
 		if !t.rib.PathCrossesSet(h, &t.set) {
 			continue
 		}
-		for _, p := range t.wByPath[h.ID()].prefixes {
+		for _, p := range t.wGroups[k] {
 			if _, ok := t.multi[p]; !ok {
 				dst = append(dst, p)
 			}
@@ -542,9 +526,9 @@ func (t *Tracker) AppendWithdrawnOn(dst []netaddr.Prefix, links []topology.Link)
 func (t *Tracker) WithdrawnOn(links []topology.Link) []netaddr.Prefix {
 	t.rib.FillLinkSet(&t.set, links)
 	var out []netaddr.Prefix
-	for _, h := range t.wPaths {
+	for k, h := range t.wPaths {
 		if t.rib.PathCrossesSet(h, &t.set) {
-			out = append(out, t.wByPath[h.ID()].prefixes...)
+			out = append(out, t.wGroups[k]...)
 		}
 	}
 	netaddr.Sort(out)
@@ -721,9 +705,9 @@ func (t *Tracker) setFS(links []topology.Link) float64 {
 		}
 	} else {
 		t.rib.FillLinkSet(&t.set, links)
-		for _, h := range t.wPaths {
+		for k, h := range t.wPaths {
 			if t.rib.PathCrossesSet(h, &t.set) {
-				w += len(t.wByPath[h.ID()].prefixes)
+				w += len(t.wGroups[k])
 			}
 		}
 		// Subtract the over-count from prefixes withdrawn with several

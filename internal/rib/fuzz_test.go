@@ -8,13 +8,14 @@ import (
 
 // FuzzTableOps drives one table through a fuzzer-chosen stream of
 // announce, withdraw, Clone and Release operations over a small path
-// and prefix alphabet, so groups empty, park their arrays and hand them
-// to other paths constantly. Ops are decoded from 2-byte records
+// and prefix alphabet, so groups empty, free their slots and hand them,
+// arrays and all, to other paths constantly. Ops are decoded from 2-byte records
 // [op][arg]: op%8 < 5 announces prefix arg%24 over path (op>>3)%8,
 // 5 and 6 withdraw it, and 7 either clones the table and carries on
 // with the clone (releasing the original) or, with op bit 3 set,
 // releases the table in place. After every op the table must match a
-// map model route for route and pass checkGroups; at the end, releasing
+// map model route for route and pass checkGroups (slot invariants
+// included); at the end, releasing
 // the table must return every path reference to the pool.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 8, 2, 16, 1, 5, 1, 7, 0, 24, 3, 15, 0, 32, 3})

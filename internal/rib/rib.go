@@ -2,10 +2,12 @@
 // maintains, built on an interning core: AS paths and AS links are
 // deduplicated into a refcounted Pool of densely numbered entries
 // (real tables carry far fewer unique paths than prefixes), each table
-// stores Prefix → PathID plus per-PathID prefix groups, and the
-// inverted link index the inference algorithm (W and P counters of
-// §4.1) and the encoding algorithm (per-link prefix loads of §5) are
-// built on collapses to dense per-LinkID counters. Prefix sets are
+// groups its prefixes by path in a dense slice numbered by a
+// table-local slot (so its size follows its own paths, not the pool's)
+// and maps Prefix → slot, and the inverted link index the inference
+// algorithm (W and P counters of §4.1) and the encoding algorithm
+// (per-link prefix loads of §5) are built on collapses to dense
+// per-LinkID counters. Prefix sets are
 // materialized on demand — group by path, test the handful of inferred
 // links against each unique path once, expand the matching groups —
 // instead of being maintained for every link on every update.
@@ -28,29 +30,29 @@ import (
 	"swift/internal/topology"
 )
 
-// routeRef locates one installed route: the interned path id plus the
-// prefix's position inside the table's per-path group (for O(1)
+// routeRef locates one installed route: the table-local slot of its
+// path group plus the prefix's position inside that group (for O(1)
 // swap-removal). It is deliberately pointer-free — the routes map is
 // the table's only O(prefixes) structure, and a pointer-free map is
 // invisible to the garbage collector (the entry pointer lives in the
-// O(paths) perPath groups instead).
+// O(paths) groups instead).
 type routeRef struct {
-	pid PathID
-	idx int32
+	slot uint32
+	idx  int32
 }
 
-// pathRoutes is one per-path prefix group. ent tracks the entry that
-// currently owns this PathID slot; the slice holds every prefix the
-// table routes over that path; pos is the group's index in the table's
-// live list while the group is non-empty. An emptied group keeps its
-// array, so a path that comes back refills it in place; parked is set
-// while the id sits on the table's parked stack, where a group started
-// on another id can take that array instead.
+// pathRoutes is one per-path prefix group. ent is the entry whose path
+// the slot holds; the slice holds every prefix the table routes over
+// that path. pos is the group's index in the table's live list while
+// the group is non-empty, and its index in the free stack while it is
+// empty. An emptied group keeps its array and its PathID mapping, so a
+// path that comes back refills it in place; until then the slot sits on
+// the free stack, where a group started on another path can take it,
+// array and all.
 type pathRoutes struct {
 	ent      *pathEntry
 	prefixes []netaddr.Prefix
 	pos      int32
-	parked   bool
 }
 
 // Table is one BGP session's RIB with link counting. It is not
@@ -68,22 +70,25 @@ type Table struct {
 	// map's. Pointer-free, so the GC never scans the table's only
 	// O(prefixes) structure.
 	routes flatmap.Map[netaddr.Prefix, routeRef]
-	// perPath groups the table's prefixes by PathID. The slice is
-	// indexed by pool-scoped ids, so with a fleet-shared pool it is
-	// sparse (40 bytes per id the pool has numbered, used or not);
-	// iteration never scans it — livePaths lists exactly the ids this
-	// table populates, keeping per-path queries O(table paths) however
-	// many paths the rest of the fleet interned.
-	perPath   []pathRoutes
-	livePaths []PathID
-	// parked stacks the ids whose groups emptied with their array still
-	// attached, most recent last. A group starting on a slot with no
-	// capacity takes the array of the newest entry still empty, so a
-	// burst that moves prefixes onto paths this table has never routed
-	// reuses the arrays its withdrawals emptied instead of growing new
-	// ones. Entries whose group refilled or was taken are skipped when
-	// popped; the parked flag keeps each id on the stack at most once.
-	parked []PathID
+	// groups holds the table's prefixes grouped by path, densely, one
+	// slot per path the table routes over (or last routed over). slotOf
+	// maps a pool-scoped PathID to its slot plus one (0: no slot); with
+	// a fleet-shared pool it is sparse, 4 bytes per id the pool has
+	// numbered, used or not — everything else the table keeps per path
+	// scales with the table's own paths. Iteration never scans either:
+	// livePaths lists the slots of the non-empty groups, keeping
+	// per-path queries O(table paths) however many paths the rest of
+	// the fleet interned.
+	groups    []pathRoutes
+	slotOf    []uint32
+	livePaths []uint32
+	// free stacks the slots of the empty groups, each with the array it
+	// last held, most recently emptied last. A path without a slot takes
+	// the top one before a new slot is grown, so a burst that moves
+	// prefixes onto paths this table has never routed reuses the arrays
+	// its withdrawals emptied instead of growing new ones. A slot whose
+	// own path comes back leaves the stack at once.
+	free []uint32
 	// onLink is P(l, t) by LinkID: how many prefixes' current path
 	// crosses the link (each prefix counted once per link).
 	onLink []int32
@@ -110,13 +115,13 @@ type Table struct {
 	// set is the scratch LinkSet behind the []topology.Link query
 	// surface.
 	set LinkSet
-	// cachePID is a two-entry intern cache: the ids of the last paths
-	// this table installed. Burst churn re-announces the same one or
+	// cacheSlot is a two-entry intern cache: the slots of the last
+	// paths this table installed. Burst churn re-announces the same one or
 	// two paths thousands of times in a row; when the cached path is
 	// still live in this table, Announce takes a refcount instead of
 	// re-keying the shared pool's intern map.
-	cachePID [2]PathID
-	cacheSet [2]bool
+	cacheSlot [2]uint32
+	cacheSet  [2]bool
 }
 
 // New returns an empty table for a session of localAS with a private
@@ -151,7 +156,7 @@ func (t *Table) Path(p netaddr.Prefix) []uint32 {
 	if !ok {
 		return nil
 	}
-	return t.perPath[ref.pid].ent.path
+	return t.groups[ref.slot].ent.path
 }
 
 // HandleOf returns a borrowed handle for p's current path. The handle
@@ -162,7 +167,7 @@ func (t *Table) HandleOf(p netaddr.Prefix) (PathHandle, bool) {
 	if !ok {
 		return PathHandle{}, false
 	}
-	return PathHandle{t.perPath[ref.pid].ent}, true
+	return PathHandle{t.groups[ref.slot].ent}, true
 }
 
 // PathLinks appends to dst the links of path as seen from the local AS:
@@ -199,7 +204,7 @@ func (t *Table) Links(p netaddr.Prefix) []topology.Link {
 func (t *Table) Announce(p netaddr.Prefix, path []uint32) (old []uint32) {
 	ref, exists := t.routes.Get(p)
 	if exists {
-		e := t.perPath[ref.pid].ent
+		e := t.groups[ref.slot].ent
 		old = e.path
 		if pathsEqual(old, path) {
 			return old // refresh of the current route
@@ -210,15 +215,17 @@ func (t *Table) Announce(p netaddr.Prefix, path []uint32) (old []uint32) {
 	h, ok := t.cachedIntern(path)
 	if !ok {
 		h = t.pool.Intern(path)
-		t.cacheSet[1], t.cachePID[1] = t.cacheSet[0], t.cachePID[0]
-		t.cacheSet[0], t.cachePID[0] = true, h.e.id
 	}
-	t.addRoute(p, h.e)
+	s := t.addRoute(p, h.e)
+	if !ok {
+		t.cacheSet[1], t.cacheSlot[1] = t.cacheSet[0], t.cacheSlot[0]
+		t.cacheSet[0], t.cacheSlot[0] = true, s
+	}
 	return old
 }
 
 // cachedIntern resolves path against the two-entry install cache: when
-// a cached id still names a path live in this table with the same
+// a cached slot still holds a live group whose path has the same
 // content, the table already pins the entry, so taking one more
 // reference is a plain refcount add — no pool map probe, no key
 // build. Single-threaded like the rest of the table; liveness is
@@ -228,12 +235,8 @@ func (t *Table) cachedIntern(path []uint32) (PathHandle, bool) {
 		if !set {
 			continue
 		}
-		pid := t.cachePID[i]
-		if int(pid) >= len(t.perPath) {
-			continue
-		}
-		g := &t.perPath[pid]
-		if len(g.prefixes) > 0 && g.ent.id == pid && pathsEqual(g.ent.path, path) {
+		g := &t.groups[t.cacheSlot[i]] // groups never shrink
+		if len(g.prefixes) > 0 && pathsEqual(g.ent.path, path) {
 			h := PathHandle{g.ent}
 			t.pool.Retain(h, 1)
 			return h, true
@@ -277,7 +280,7 @@ func (t *Table) WithdrawHandle(p netaddr.Prefix) (PathHandle, bool) {
 	if !ok {
 		return PathHandle{}, false
 	}
-	e := t.perPath[ref.pid].ent
+	e := t.groups[ref.slot].ent
 	t.removeRoute(p, ref)
 	t.routes.Delete(p)
 	return PathHandle{e}, true
@@ -287,33 +290,33 @@ func (t *Table) WithdrawHandle(p netaddr.Prefix) (PathHandle, bool) {
 func (t *Table) ReleaseHandle(h PathHandle) { t.pool.Release(h) }
 
 // addRoute indexes a new route whose path reference the caller already
-// holds; ownership of that reference moves to the table.
-func (t *Table) addRoute(p netaddr.Prefix, e *pathEntry) {
-	id := int(e.id)
-	if id >= len(t.perPath) {
-		grown := make([]pathRoutes, id+1+id/2)
-		copy(grown, t.perPath)
-		t.perPath = grown
+// holds; ownership of that reference moves to the table. It returns the
+// route's slot.
+func (t *Table) addRoute(p netaddr.Prefix, e *pathEntry) uint32 {
+	var s uint32
+	if int(e.id) < len(t.slotOf) && t.slotOf[e.id] != 0 {
+		s = t.slotOf[e.id] - 1
+	} else {
+		s = t.newSlot(e.id)
 	}
-	g := &t.perPath[id]
+	g := &t.groups[s]
 	g.ent = e
 	if len(g.prefixes) == 0 {
-		if cap(g.prefixes) == 0 {
-			g.prefixes = t.takeParked()
-		}
+		t.unfree(g)
 		g.pos = int32(len(t.livePaths))
-		t.livePaths = append(t.livePaths, e.id)
+		t.livePaths = append(t.livePaths, s)
 	}
-	t.routes.Put(p, routeRef{pid: e.id, idx: int32(len(g.prefixes))})
+	t.routes.Put(p, routeRef{slot: s, idx: int32(len(g.prefixes))})
 	g.prefixes = append(g.prefixes, p)
 	t.sig ^= SigMix(uint64(p) ^ e.hash)
 	t.linkDelta(e, +1)
+	return s
 }
 
 // removeRoute unindexes p (group membership and link counters) without
 // touching the routes map entry or the path reference.
 func (t *Table) removeRoute(p netaddr.Prefix, ref routeRef) {
-	g := &t.perPath[ref.pid]
+	g := &t.groups[ref.slot]
 	last := len(g.prefixes) - 1
 	if int(ref.idx) != last {
 		moved := g.prefixes[last]
@@ -323,44 +326,65 @@ func (t *Table) removeRoute(p netaddr.Prefix, ref routeRef) {
 	g.prefixes = g.prefixes[:last]
 	if last == 0 {
 		t.dropLivePath(g)
-		t.park(ref.pid, g)
+		t.pushFree(ref.slot, g)
 	}
 	t.sig ^= SigMix(uint64(p) ^ g.ent.hash)
 	t.linkDelta(g.ent, -1)
 }
 
-// park puts an emptied group's id on the parked stack, once.
-func (t *Table) park(id PathID, g *pathRoutes) {
-	if !g.parked {
-		g.parked = true
-		t.parked = append(t.parked, id)
+// newSlot gives id, which has no slot, one: the most recently emptied
+// slot (whose previous path loses its mapping), or a new one when no
+// slot is free. The caller fills the group at once.
+func (t *Table) newSlot(id PathID) uint32 {
+	if int(id) >= len(t.slotOf) {
+		grown := make([]uint32, int(id)+1+int(id)/8)
+		copy(grown, t.slotOf)
+		t.slotOf = grown
 	}
+	var s uint32
+	if n := len(t.free); n > 0 {
+		s = t.free[n-1]
+		t.free = t.free[:n-1]
+		if old := t.groups[s].ent; old != nil {
+			t.slotOf[old.id] = 0
+		}
+	} else {
+		s = uint32(len(t.groups))
+		t.groups = append(t.groups, pathRoutes{})
+	}
+	t.groups[s].pos = -1
+	t.slotOf[id] = s + 1
+	return s
 }
 
-// takeParked detaches and returns the array of the most recently
-// parked group that is still empty, or nil when none is left. The
-// donor slot is left without an array, so no two groups share one.
-func (t *Table) takeParked() []netaddr.Prefix {
-	for n := len(t.parked); n > 0; n-- {
-		g := &t.perPath[t.parked[n-1]]
-		t.parked = t.parked[:n-1]
-		g.parked = false
-		if len(g.prefixes) == 0 && cap(g.prefixes) > 0 {
-			buf := g.prefixes
-			g.prefixes = nil
-			return buf
-		}
+// pushFree puts an emptied group's slot on the free stack.
+func (t *Table) pushFree(s uint32, g *pathRoutes) {
+	g.pos = int32(len(t.free))
+	t.free = append(t.free, s)
+}
+
+// unfree takes an empty group that is about to refill off the free
+// stack; a slot newSlot just handed out is already off it (pos -1).
+func (t *Table) unfree(g *pathRoutes) {
+	if g.pos < 0 {
+		return
 	}
-	return nil
+	end := len(t.free) - 1
+	if int(g.pos) != end {
+		moved := t.free[end]
+		t.free[g.pos] = moved
+		t.groups[moved].pos = g.pos
+	}
+	t.free = t.free[:end]
 }
 
 // dropLivePath swap-removes an emptied group from the live list.
 func (t *Table) dropLivePath(g *pathRoutes) {
 	end := len(t.livePaths) - 1
 	if int(g.pos) != end {
-		movedID := t.livePaths[end]
-		t.livePaths[g.pos] = movedID
-		t.perPath[movedID].pos = g.pos
+		moved := t.livePaths[end]
+		t.livePaths[g.pos] = moved
+		t.groups[moved].pos = g.pos
 	}
 	t.livePaths = t.livePaths[:end]
 }
@@ -527,8 +551,8 @@ func (t *Table) CountOnSet(set *LinkSet) int {
 		return 0
 	}
 	n := 0
-	for _, id := range t.livePaths {
-		g := &t.perPath[id]
+	for _, s := range t.livePaths {
+		g := &t.groups[s]
 		if t.pathCrossesSetRO(g.ent, set) {
 			n += len(g.prefixes)
 		}
@@ -548,8 +572,8 @@ func (t *Table) NumLivePaths() int { return len(t.livePaths) }
 // run concurrently with other readers, but not with updates.
 func (t *Table) CountOnSetRange(set *LinkSet, lo, hi int) int {
 	n := 0
-	for _, id := range t.livePaths[lo:hi] {
-		g := &t.perPath[id]
+	for _, s := range t.livePaths[lo:hi] {
+		g := &t.groups[s]
 		if t.pathCrossesSetRO(g.ent, set) {
 			n += len(g.prefixes)
 		}
@@ -578,8 +602,8 @@ func (t *Table) AppendPrefixesOnSet(dst []netaddr.Prefix, set *LinkSet) []netadd
 	if set.Len() == 0 {
 		return dst
 	}
-	for _, id := range t.livePaths {
-		g := &t.perPath[id]
+	for _, s := range t.livePaths {
+		g := &t.groups[s]
 		if t.pathCrossesSetRO(g.ent, set) {
 			dst = append(dst, g.prefixes...)
 		}
@@ -602,7 +626,7 @@ func (t *Table) PrefixesOnAny(links []topology.Link) []netaddr.Prefix {
 // unspecified; fn must not mutate the table.
 func (t *Table) ForEach(fn func(p netaddr.Prefix, path []uint32)) {
 	t.routes.ForEach(func(p netaddr.Prefix, ref routeRef) {
-		fn(p, t.perPath[ref.pid].ent.path)
+		fn(p, t.groups[ref.slot].ent.path)
 	})
 }
 
@@ -612,8 +636,8 @@ func (t *Table) ForEach(fn func(p netaddr.Prefix, path []uint32)) {
 // once instead of once per prefix. fn must not mutate the table or
 // retain either slice.
 func (t *Table) ForEachPath(fn func(path []uint32, prefixes []netaddr.Prefix)) {
-	for _, id := range t.livePaths {
-		g := &t.perPath[id]
+	for _, s := range t.livePaths {
+		g := &t.groups[s]
 		fn(g.ent.path, g.prefixes)
 	}
 }
@@ -621,21 +645,30 @@ func (t *Table) ForEachPath(fn func(path []uint32, prefixes []netaddr.Prefix)) {
 // Clone returns a deep copy of the table sharing the same pool (paths
 // are interned, so the clone retains one reference per copied route).
 // The encoding layer snapshots the RIB this way before recomputing
-// tags.
+// tags. Only the live groups are copied: they keep their slots, so the
+// copied routes map stays valid, and the clone's other slots start
+// empty, without arrays, on its free stack.
 func (t *Table) Clone() *Table {
 	out := NewWithPool(t.localAS, t.pool)
 	out.routes = t.routes.Clone()
-	out.perPath = make([]pathRoutes, len(t.perPath))
-	for _, id := range t.livePaths {
-		g := &t.perPath[id]
-		out.perPath[id] = pathRoutes{
+	out.groups = make([]pathRoutes, len(t.groups))
+	out.slotOf = make([]uint32, len(t.slotOf))
+	for _, s := range t.livePaths {
+		g := &t.groups[s]
+		out.groups[s] = pathRoutes{
 			ent:      g.ent,
 			prefixes: append([]netaddr.Prefix(nil), g.prefixes...),
 			pos:      g.pos,
 		}
+		out.slotOf[g.ent.id] = s + 1
 		t.pool.Retain(PathHandle{g.ent}, len(g.prefixes))
 	}
-	out.livePaths = append([]PathID(nil), t.livePaths...)
+	for s := range out.groups {
+		if g := &out.groups[s]; g.ent == nil {
+			out.pushFree(uint32(s), g)
+		}
+	}
+	out.livePaths = append([]uint32(nil), t.livePaths...)
 	out.onLink = append([]int32(nil), t.onLink...)
 	for head, id := range t.firstLink {
 		out.firstLink[head] = id
@@ -649,11 +682,11 @@ func (t *Table) Clone() *Table {
 // done being inspected should be released so pooled paths can be
 // freed.
 func (t *Table) Release() {
-	for _, id := range t.livePaths {
-		g := &t.perPath[id]
+	for _, s := range t.livePaths {
+		g := &t.groups[s]
 		t.pool.ReleaseN(PathHandle{g.ent}, len(g.prefixes))
 		g.prefixes = g.prefixes[:0]
-		t.park(id, g)
+		t.pushFree(s, g)
 	}
 	t.livePaths = t.livePaths[:0]
 	t.routes.Clear()

@@ -229,7 +229,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				return false
 			}
 		}
-		// The released table refills from its parked arrays.
+		// The released table refills from its freed slots.
 		cp.ForEach(func(p netaddr.Prefix, path []uint32) { tb.Announce(p, path) })
 		if err := checkGroups(tb); err != nil || tb.Signature() != cp.Signature() {
 			t.Log(err)
@@ -244,22 +244,25 @@ func TestIndexConsistencyProperty(t *testing.T) {
 
 // checkGroups verifies the per-path group index against the routes
 // map: ForEachPath yields each routed prefix exactly once, under the
-// path the routes map names, at the position its routeRef records; no
-// two groups share a backing array; the parked stack holds exactly the
-// flagged ids, once each; and CountOnSet equals a brute-force count
-// for every single active link and every adjacent pair of them.
+// path the routes map names, at the position its routeRef records. It
+// also checks the slot invariants: every slot holding an entry is the
+// one its PathID maps to, and every mapped id names a slot that maps
+// back; the free stack holds exactly the empty slots, once each, at the
+// position each records; and no two slots share a backing array. Last,
+// CountOnSet must equal a brute-force count for every single active
+// link and every adjacent pair of them.
 func checkGroups(tb *Table) error {
 	seen := make(map[netaddr.Prefix]bool, tb.Len())
 	k := 0
 	var err error
 	tb.ForEachPath(func(path []uint32, prefixes []netaddr.Prefix) {
-		id := tb.livePaths[k]
-		if g := &tb.perPath[id]; int(g.pos) != k || g.ent.id != id {
-			err = fmt.Errorf("live path %d at position %d: pos %d, entry id %d", id, k, g.pos, g.ent.id)
+		s := tb.livePaths[k]
+		if g := &tb.groups[s]; int(g.pos) != k {
+			err = fmt.Errorf("live slot %d at position %d records pos %d", s, k, g.pos)
 		}
 		k++
 		if len(prefixes) == 0 {
-			err = fmt.Errorf("live path %d has an empty group", id)
+			err = fmt.Errorf("live slot %d has an empty group", s)
 		}
 		for i, p := range prefixes {
 			ref, ok := tb.routes.Get(p)
@@ -267,9 +270,9 @@ func checkGroups(tb *Table) error {
 			case seen[p]:
 				err = fmt.Errorf("prefix %v yielded twice", p)
 			case !ok:
-				err = fmt.Errorf("prefix %v in group %d but not routed", p, id)
-			case ref.pid != id || int(ref.idx) != i:
-				err = fmt.Errorf("prefix %v at group %d[%d], routes map says %d[%d]", p, id, i, ref.pid, ref.idx)
+				err = fmt.Errorf("prefix %v in slot %d but not routed", p, s)
+			case ref.slot != s || int(ref.idx) != i:
+				err = fmt.Errorf("prefix %v at slot %d[%d], routes map says %d[%d]", p, s, i, ref.slot, ref.idx)
 			case !pathsEqual(tb.Path(p), path):
 				err = fmt.Errorf("prefix %v yielded under %v, routed over %v", p, path, tb.Path(p))
 			}
@@ -284,31 +287,35 @@ func checkGroups(tb *Table) error {
 			k, len(seen), len(tb.livePaths), tb.Len())
 	}
 
+	for id, s := range tb.slotOf {
+		if s != 0 && (int(s) > len(tb.groups) || tb.groups[s-1].ent == nil || tb.groups[s-1].ent.id != PathID(id)) {
+			return fmt.Errorf("path id %d maps to slot %d, which does not map back", id, s-1)
+		}
+	}
 	owner := make(map[*netaddr.Prefix]int)
-	flagged := 0
-	for id := range tb.perPath {
-		g := &tb.perPath[id]
-		if g.parked {
-			flagged++
+	empty := 0
+	for s := range tb.groups {
+		g := &tb.groups[s]
+		if g.ent != nil && (int(g.ent.id) >= len(tb.slotOf) || tb.slotOf[g.ent.id] != uint32(s)+1) {
+			return fmt.Errorf("slot %d holds path id %d, which does not map to it", s, g.ent.id)
+		}
+		if len(g.prefixes) == 0 {
+			empty++
+			if int(g.pos) >= len(tb.free) || g.pos < 0 || tb.free[g.pos] != uint32(s) {
+				return fmt.Errorf("empty slot %d is not on the free stack at its position %d", s, g.pos)
+			}
 		}
 		if cap(g.prefixes) == 0 {
 			continue
 		}
 		base := &g.prefixes[:1][0]
 		if other, dup := owner[base]; dup {
-			return fmt.Errorf("groups %d and %d share a backing array", other, id)
+			return fmt.Errorf("slots %d and %d share a backing array", other, s)
 		}
-		owner[base] = id
+		owner[base] = s
 	}
-	onStack := make(map[PathID]bool, len(tb.parked))
-	for _, id := range tb.parked {
-		if onStack[id] || !tb.perPath[id].parked {
-			return fmt.Errorf("parked stack entry %d duplicated or unflagged", id)
-		}
-		onStack[id] = true
-	}
-	if flagged != len(onStack) {
-		return fmt.Errorf("%d groups flagged parked, %d on the stack", flagged, len(onStack))
+	if empty != len(tb.free) {
+		return fmt.Errorf("%d empty slots, %d on the free stack", empty, len(tb.free))
 	}
 
 	active := activeLinks(tb)

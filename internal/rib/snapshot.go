@@ -1,8 +1,9 @@
 package rib
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"swift/internal/netaddr"
 	"swift/internal/topology"
@@ -51,7 +52,7 @@ func (p *Pool) Export() PoolImage {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(img.Paths, func(i, j int) bool { return img.Paths[i].ID < img.Paths[j].ID })
+	slices.SortFunc(img.Paths, func(a, b PathImage) int { return cmp.Compare(a.ID, b.ID) })
 	return img
 }
 
@@ -174,9 +175,9 @@ type TableImage struct {
 func (t *Table) Export() TableImage {
 	img := TableImage{LocalAS: t.localAS, Routes: make([]RouteImage, 0, t.routes.Len())}
 	t.routes.ForEach(func(p netaddr.Prefix, ref routeRef) {
-		img.Routes = append(img.Routes, RouteImage{Prefix: p, Path: ref.pid})
+		img.Routes = append(img.Routes, RouteImage{Prefix: p, Path: t.groups[ref.slot].ent.id})
 	})
-	sort.Slice(img.Routes, func(i, j int) bool { return img.Routes[i].Prefix < img.Routes[j].Prefix })
+	slices.SortFunc(img.Routes, func(a, b RouteImage) int { return cmp.Compare(a.Prefix, b.Prefix) })
 	return img
 }
 

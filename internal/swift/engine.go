@@ -14,6 +14,7 @@ package swift
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"swift/internal/burst"
@@ -231,9 +232,14 @@ type Engine struct {
 	lastTriggerAt  int // tracker count at the previous inference attempt
 	burstStartAt   time.Duration
 	rerouteActive  bool
-	decisions      []Decision
-	deferred       int // inferences rejected by the plausibility gate
-	vetoed         int // inferences deferred by the fusion conflict gate
+	// decisions is the decision log; each Decision's Predicted is an
+	// exact-length copy, so the log holds what it reports and nothing
+	// more. gather is the scratch a decision's prefix set is built in
+	// before that copy.
+	decisions []Decision
+	gather    []netaddr.Prefix
+	deferred  int // inferences rejected by the plausibility gate
+	vetoed    int // inferences deferred by the fusion conflict gate
 
 	// Fusion state: ownLinks are the links of the engine's own current
 	// reroute (nil when the active rules are external-only); extLinks the
@@ -532,20 +538,21 @@ func (e *Engine) applyReroute(at time.Duration, res inference.Result, inferLat t
 	// internally and no sort is needed on the hot path; a prefix
 	// withdrawn then re-announced across the links can appear in both
 	// halves (as it always could).
-	predicted := e.tracker.AppendPredicted(nil, res.Links)
-	wStart := len(predicted)
-	predicted = e.tracker.AppendWithdrawnOn(predicted, res.Links)
+	e.gather = e.tracker.AppendPredicted(e.gather[:0], res.Links)
+	wStart := len(e.gather)
+	e.gather = e.tracker.AppendWithdrawnOn(e.gather, res.Links)
 	if e.cfg.Fusion != nil {
 		// Offer the inference as fleet evidence; a veto means another
 		// in-burst vantage currently holds materially stronger, disjoint
 		// evidence, so acting on this one would likely divert the wrong
-		// link's prefixes. The evidence is recorded either way.
+		// link's prefixes. The evidence is recorded either way; the
+		// gate copies Withdrawn, so it may point into the scratch.
 		ans := e.cfg.Fusion.Propose(fusion.Proposal{
 			At:        at,
 			Links:     res.Links,
 			FS:        res.FS,
 			Received:  res.Received,
-			Withdrawn: predicted[wStart:],
+			Withdrawn: e.gather[wStart:],
 		})
 		e.cfg.Metrics.FusionProposals.Inc()
 		if !ans.Act {
@@ -570,7 +577,7 @@ func (e *Engine) applyReroute(at time.Duration, res inference.Result, inferLat t
 	d := Decision{
 		At:             at,
 		Result:         res,
-		Predicted:      predicted,
+		Predicted:      exactCopy(e.gather),
 		WithdrawnStart: wStart,
 		RulesInstalled: e.fib.Writes() - before,
 		InferLatency:   inferLat,
@@ -584,6 +591,35 @@ func (e *Engine) applyReroute(at time.Duration, res inference.Result, inferLat t
 	if e.cfg.Observer.OnDecision != nil {
 		e.cfg.Observer.OnDecision(d)
 	}
+}
+
+// exactCopy returns a copy of ps whose capacity is its length, so a
+// kept decision pins no slack.
+func exactCopy(ps []netaddr.Prefix) []netaddr.Prefix {
+	out := make([]netaddr.Prefix, len(ps))
+	copy(out, ps)
+	return out
+}
+
+// appendCorroborated appends to dst the prefixes of predicted that
+// local also holds, in predicted's order — a two-pointer merge. Both
+// must be ascending (a fusion verdict's Predicted is a sorted union);
+// duplicates in either are allowed, and each element of predicted is
+// kept at most once per occurrence.
+func appendCorroborated(dst, predicted, local []netaddr.Prefix) []netaddr.Prefix {
+	j := 0
+	for _, p := range predicted {
+		for j < len(local) && local[j] < p {
+			j++
+		}
+		if j == len(local) {
+			break
+		}
+		if local[j] == p {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }
 
 func dataplaneCost(c time.Duration) time.Duration {
@@ -665,17 +701,11 @@ func (e *Engine) ApplyExternal(v fusion.Verdict) {
 	// false-positive inflation fusion exists to avoid. The installed
 	// rules still divert whole links, so flows the prediction undercounts
 	// restore through the rule match anyway.
-	local := e.tracker.AppendWithdrawnOn(nil, v.Links)
-	cover := make(map[netaddr.Prefix]struct{}, len(local))
-	for _, p := range local {
-		cover[p] = struct{}{}
-	}
-	predicted := make([]netaddr.Prefix, 0, len(v.Predicted))
-	for _, p := range v.Predicted {
-		if _, ok := cover[p]; ok {
-			predicted = append(predicted, p)
-		}
-	}
+	e.gather = e.tracker.AppendWithdrawnOn(e.gather[:0], v.Links)
+	slices.Sort(e.gather)
+	n := len(e.gather)
+	e.gather = appendCorroborated(e.gather, v.Predicted, e.gather[:n])
+	predicted := exactCopy(e.gather[n:])
 	d := Decision{
 		At: v.At,
 		Result: inference.Result{

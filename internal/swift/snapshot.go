@@ -1,8 +1,9 @@
 package swift
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"swift/internal/burst"
@@ -77,7 +78,7 @@ func (e *Engine) ExportState() EngineState {
 	for n, t := range e.alts {
 		st.Alts = append(st.Alts, AltState{Neighbor: n, Table: t.Export()})
 	}
-	sort.Slice(st.Alts, func(i, j int) bool { return st.Alts[i].Neighbor < st.Alts[j].Neighbor })
+	slices.SortFunc(st.Alts, func(a, b AltState) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	if e.plan != nil {
 		img := e.plan.Export()
 		st.Plan = &img
