@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -541,13 +540,7 @@ func (f *Fleet) Peers() []*FleetPeer {
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		if a.AS != b.AS {
-			return a.AS < b.AS
-		}
-		return a.BGPID < b.BGPID
-	})
+	sortPeers(out)
 	return out
 }
 

@@ -1,9 +1,10 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"swift/internal/snapshot"
 	swiftengine "swift/internal/swift"
@@ -20,6 +21,10 @@ import (
 // locks, and both resume when the export is done. Nothing here waits on
 // a worker or the fusion pump while holding a lock, so the blocking is
 // one-way.
+//
+// The export streams: the pool, then each peer in key order, is
+// exported and written as its own section, so at most one peer's image
+// is alive beside the fleet, never a copy of the whole fleet.
 func (f *Fleet) Snapshot(w io.Writer) error {
 	if f.closed.Load() {
 		return ErrClosed
@@ -45,14 +50,18 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 	}
-	img := snapshot.FleetImage{
-		Pool:  f.pool.Export(),
-		Peers: make([]snapshot.PeerImage, len(peers)),
+	pool := f.pool.Export()
+	sw, err := snapshot.NewWriter(w, &pool)
+	if err != nil {
+		return err
 	}
-	for i, p := range peers {
-		img.Peers[i] = snapshot.PeerImage{Key: p.key, State: p.engine.ExportState()}
+	for _, p := range peers {
+		img := snapshot.PeerImage{Key: p.key, State: p.engine.ExportState()}
+		if err := sw.Peer(&img); err != nil {
+			return err
+		}
 	}
-	return snapshot.Write(w, &img)
+	return sw.Close()
 }
 
 // RestoreFleet builds a running fleet from a snapshot stream without
@@ -130,11 +139,7 @@ func (f *Fleet) restorePeer(pi *snapshot.PeerImage) error {
 }
 
 func sortPeers(peers []*FleetPeer) {
-	sort.Slice(peers, func(i, j int) bool {
-		a, b := peers[i].key, peers[j].key
-		if a.AS != b.AS {
-			return a.AS < b.AS
-		}
-		return a.BGPID < b.BGPID
+	slices.SortFunc(peers, func(a, b *FleetPeer) int {
+		return cmp.Or(cmp.Compare(a.key.AS, b.key.AS), cmp.Compare(a.key.BGPID, b.key.BGPID))
 	})
 }

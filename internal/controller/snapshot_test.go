@@ -2,11 +2,13 @@ package controller
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"swift/internal/event"
 	"swift/internal/netaddr"
+	"swift/internal/snapshot"
 	swiftengine "swift/internal/swift"
 )
 
@@ -259,5 +261,68 @@ func TestFleetSnapshotRefusals(t *testing.T) {
 	}
 	if _, err := RestoreFleet(bytes.NewReader([]byte("not a snapshot")), snapshotTestConfig(t, prefixes)); err == nil {
 		t.Error("restore of garbage succeeded")
+	}
+}
+
+// countingWriter discards what it is given and counts it, so measuring
+// a snapshot's allocations counts none for the sink.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestFleetSnapshotStreams pins the streamed checkpoint against the
+// whole-fleet form it replaced: on a four-peer fleet, one peer through
+// a burst cycle and the peers created out of key order, Snapshot writes
+// exactly the bytes snapshot.Write gives for the FleetImage built by
+// hand — the pool export plus every peer's exported state in ascending
+// key order — and allocates at most twice the file's size, where
+// holding the whole image before writing a byte cost more.
+func TestFleetSnapshotStreams(t *testing.T) {
+	prefixes := make([]netaddr.Prefix, 4096)
+	for i := range prefixes {
+		prefixes[i] = netaddr.PrefixFor(8, i)
+	}
+	f := NewFleet(snapshotTestConfig(t, prefixes))
+	defer f.Close()
+	keys := []PeerKey{{AS: 7, BGPID: 1}, {AS: 2, BGPID: 9}, {AS: 2, BGPID: 3}, {AS: 5, BGPID: 4}}
+	for _, key := range keys {
+		f.Peer(key)
+	}
+	if !f.Peer(keys[2]).Enqueue(fleetBurstCycle(keys[2], prefixes)) {
+		t.Fatal("enqueue refused")
+	}
+	f.Sync()
+
+	img := snapshot.FleetImage{Pool: f.pool.Export()}
+	for _, p := range f.Peers() { // ascending key order
+		p.Do(func(e *swiftengine.Engine) {
+			img.Peers = append(img.Peers, snapshot.PeerImage{Key: p.Key(), State: e.ExportState()})
+		})
+	}
+	var want bytes.Buffer
+	if err := snapshot.Write(&want, &img); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotBytes(t, f); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("streamed snapshot (%d bytes) differs from snapshot.Write of the whole image (%d bytes)", len(got), want.Len())
+	}
+
+	var sink countingWriter
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := f.Snapshot(&sink); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("snapshot: %d bytes written, %d allocated (%.2fx)", sink.n, alloc, float64(alloc)/float64(sink.n))
+	if sink.n != want.Len() {
+		t.Fatalf("snapshot wrote %d bytes, want %d", sink.n, want.Len())
+	}
+	if alloc > 2*uint64(sink.n) {
+		t.Fatalf("snapshot of %d bytes allocated %d, want at most twice the file", sink.n, alloc)
 	}
 }

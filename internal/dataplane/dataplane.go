@@ -9,8 +9,8 @@ package dataplane
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -258,13 +258,35 @@ func (f *FIB) stageOne(addrs []uint32, ok []bool) []encoding.Tag {
 // match order (the order the hardware would try them). Two FIBs with
 // identical dumps forward identically, which is what the provision-skip
 // equivalence tests pin.
+//
+// Each line is formatted into one reused scratch slice and copied into
+// a builder sized for the widest lines, so a dump costs one allocation
+// however large the table.
 func (f *FIB) Dump() string {
+	const (
+		maxTagLine  = len("tag 255.255.255.255/32 0x") + 16 + 1
+		maxRuleLine = len("rule 0x/0x ->  @") + 2*16 + 10 + 20 + 1
+	)
 	var b strings.Builder
-	f.stage1.ForEach(func(p netaddr.Prefix, t encoding.Tag) {
-		fmt.Fprintf(&b, "tag %s %#x\n", p, uint64(t))
-	})
+	b.Grow(f.stage1.Len()*maxTagLine + len(f.stage2)*maxRuleLine)
+	line := make([]byte, 0, maxRuleLine)
+	for _, e := range f.stage1.entries {
+		line = append(line[:0], "tag "...)
+		line = e.Prefix.AppendTo(line)
+		line = append(line, " 0x"...)
+		line = strconv.AppendUint(line, uint64(e.Tag), 16)
+		b.Write(append(line, '\n'))
+	}
 	for _, r := range f.stage2 {
-		fmt.Fprintf(&b, "rule %#x/%#x -> %d @%d\n", uint64(r.Value), uint64(r.Mask), r.NextHop, r.Priority)
+		line = append(line[:0], "rule 0x"...)
+		line = strconv.AppendUint(line, uint64(r.Value), 16)
+		line = append(line, "/0x"...)
+		line = strconv.AppendUint(line, uint64(r.Mask), 16)
+		line = append(line, " -> "...)
+		line = strconv.AppendUint(line, uint64(r.NextHop), 10)
+		line = append(line, " @"...)
+		line = strconv.AppendInt(line, int64(r.Priority), 10)
+		b.Write(append(line, '\n'))
 	}
 	return b.String()
 }

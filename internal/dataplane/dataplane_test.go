@@ -1,9 +1,12 @@
 package dataplane
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -221,5 +224,62 @@ func TestReplaceTagsSteadyStateAllocs(t *testing.T) {
 	}
 	if f.NumTags() != n {
 		t.Fatalf("NumTags = %d, want %d", f.NumTags(), n)
+	}
+}
+
+// fmtDump is Dump as it was first written with fmt, kept as the
+// reference the strconv formatting must reproduce byte for byte.
+func fmtDump(f *FIB) string {
+	var b strings.Builder
+	f.stage1.ForEach(func(p netaddr.Prefix, t encoding.Tag) {
+		fmt.Fprintf(&b, "tag %s %#x\n", p, uint64(t))
+	})
+	for _, r := range f.stage2 {
+		fmt.Fprintf(&b, "rule %#x/%#x -> %d @%d\n", uint64(r.Value), uint64(r.Mask), r.NextHop, r.Priority)
+	}
+	return b.String()
+}
+
+// TestDumpMatchesFmtReference checks Dump against the fmt reference on
+// random tables and on the edges of every field: tag 0 and the widest
+// tag, /0 and /32 prefixes at both ends of the address space, and rule
+// priorities from math.MinInt through the ones the schemes install to
+// math.MaxInt. Dump allocates once, however many lines it renders.
+func TestDumpMatchesFmtReference(t *testing.T) {
+	edges := New(Config{})
+	edges.SetTag(netaddr.MustParsePrefix("0.0.0.0/0"), 0)
+	edges.SetTag(netaddr.MustParsePrefix("0.0.0.0/32"), 1)
+	edges.SetTag(netaddr.MustParsePrefix("255.255.255.255/32"), encoding.Tag(math.MaxUint64))
+	edges.SetTag(netaddr.MustParsePrefix("10.0.0.0/8"), 0xabcdef)
+	edges.SetTag(netaddr.MustParsePrefix("192.168.7.1/32"), 0)
+	for _, prio := range []int{math.MinInt, -1, 0, 1, 10, math.MaxInt} {
+		edges.InstallRule(encoding.Rule{Value: encoding.Tag(prio), Mask: 0, NextHop: math.MaxUint32, Priority: prio})
+		edges.InstallRule(encoding.Rule{Value: 0, Mask: encoding.Tag(math.MaxUint64), NextHop: 0, Priority: prio})
+	}
+	fibs := []*FIB{New(Config{}), edges}
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 8; k++ {
+		f := New(Config{})
+		for i := 0; i < 500; i++ {
+			length := rng.Intn(33)
+			f.SetTag(netaddr.MakePrefix(rng.Uint32(), length), encoding.Tag(rng.Uint64()>>rng.Intn(64)))
+		}
+		for i := 0; i < 20; i++ {
+			f.InstallRule(encoding.Rule{
+				Value:    encoding.Tag(rng.Uint64() >> rng.Intn(64)),
+				Mask:     encoding.Tag(rng.Uint64() >> rng.Intn(64)),
+				NextHop:  rng.Uint32() >> rng.Intn(32),
+				Priority: rng.Intn(21) - 10,
+			})
+		}
+		fibs = append(fibs, f)
+	}
+	for i, f := range fibs {
+		if got, want := f.Dump(), fmtDump(f); got != want {
+			t.Fatalf("FIB %d: Dump differs from the fmt reference:\n%s\nwant:\n%s", i, got, want)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { f.Dump() }); allocs > 1 {
+			t.Fatalf("FIB %d: Dump made %.0f allocations, want 1", i, allocs)
+		}
 	}
 }

@@ -26,10 +26,13 @@ type TagEntry = encoding.TagAssignment
 // The read index is a 16-bit-stride direct-index root array — one
 // probe resolves every prefix of length <= 16 — whose entries point,
 // for chunks holding a >/16 tail, into compressed popcount-indexed
-// stride-6 nodes (two 64-bit occupancy vectors per node, children and
-// pushed leaf tags stored densely and addressed by popcount), so a /32
-// hit costs the root probe plus at most three node hops and a miss
-// rejects at the first empty vector.
+// stride-6 nodes, so a /32 hit costs the root probe plus at most three
+// node hops and a miss rejects at the first empty vector. Each node
+// keeps its children densely, addressed by popcount over an occupancy
+// vector, and its pushed leaf tags as leaf runs (the Poptrie leaf bit
+// vector, Asai & Ohara, SIGCOMM '15): one stored tag per run of equal
+// painted slots, addressed by popcount over the vector of run starts —
+// so a /24, which paints 16 slots of its node, stores one tag, not 16.
 //
 // Single-prefix writes (Insert, Delete) shift the slice in place and
 // mirror into the index incrementally: a long prefix repaints one
@@ -66,15 +69,20 @@ type rootLeaf struct {
 	l   uint8
 }
 
-// popNode is one stride-6 level of a chunk subtree. Occupied leaf slots
-// (leafBits) and children (intBits) are popcount-indexed into the dense
-// leaves/children slices. local holds the node's own prefixes — those
-// whose length lands within this node's six bits — from which the 64
-// leaf slots are repainted on every local update; defTag/defLen carry
-// the chunk's <=16-bit cover on depth-16 nodes (same 0 = none encoding
-// as rootLeaf.l).
+// popNode is one stride-6 level of a chunk subtree. leafBits marks the
+// painted leaf slots and intBits the children, which are
+// popcount-indexed into the dense children slice. runBits marks the
+// painted slots that start a leaf run — the first painted slot, and
+// every painted slot whose tag differs from the previous painted
+// slot's — and leaves holds one tag per run, so a painted slot s reads
+// leaves[popcount(runBits & slots 0..s) - 1]. local holds the node's
+// own prefixes — those whose length lands within this node's six bits —
+// from which the 64 leaf slots are repainted on every local update;
+// defTag/defLen carry the chunk's <=16-bit cover on depth-16 nodes
+// (same 0 = none encoding as rootLeaf.l).
 type popNode struct {
 	leafBits uint64
+	runBits  uint64
 	intBits  uint64
 	leaves   []encoding.Tag
 	children []*popNode
@@ -190,7 +198,7 @@ func (p *Poptrie) Lookup(addr uint32) (encoding.Tag, bool) {
 		bit := uint64(1) << (key >> 26)
 		key <<= 6
 		if n.leafBits&bit != 0 {
-			best, ok = n.leaves[bits.OnesCount64(n.leafBits&(bit-1))], true
+			best, ok = n.leaves[bits.OnesCount64(n.runBits&(bit|(bit-1)))-1], true
 		}
 		if n.intBits&bit == 0 {
 			return best, ok
@@ -228,7 +236,7 @@ func (p *Poptrie) LookupBatch(addrs []uint32, tags []encoding.Tag, ok []bool) {
 			bit := uint64(1) << (key >> 26)
 			key <<= 6
 			if n.leafBits&bit != 0 {
-				best, found = n.leaves[bits.OnesCount64(n.leafBits&(bit-1))], true
+				best, found = n.leaves[bits.OnesCount64(n.runBits&(bit|(bit-1)))-1], true
 			}
 			if n.intBits&bit == 0 {
 				break
@@ -428,8 +436,9 @@ func (n *popNode) removeLocal(pat, rem uint8) {
 
 // repaint rebuilds the node's 64 leaf slots from its local prefix set:
 // every local expands over 2^(6-rem) slots, the longest winning each
-// slot, and the dense popcount-indexed leaves vector is re-emitted in
-// slot order — so the painted state is independent of insertion order.
+// slot, and the leaf runs are re-emitted in slot order — one tag per
+// run start in runBits — so the painted state is independent of
+// insertion order.
 func (n *popNode) repaint() {
 	var tag [64]encoding.Tag
 	var ln [64]uint8 // 0 = unpainted, else rem
@@ -444,11 +453,22 @@ func (n *popNode) repaint() {
 			}
 		}
 	}
-	n.leaves = slices.Grow(n.leaves[:0], bits.OnesCount64(n.leafBits))
-	for s := 0; s < 64; s++ {
+	n.runBits = 0
+	for s, last := 0, -1; s < 64; s++ {
 		if ln[s] != 0 {
-			n.leaves = append(n.leaves, tag[s])
+			if last < 0 || tag[s] != tag[last] {
+				n.runBits |= uint64(1) << s
+			}
+			last = s
 		}
+	}
+	if runs := bits.OnesCount64(n.runBits); cap(n.leaves) < runs {
+		n.leaves = make([]encoding.Tag, 0, runs)
+	} else {
+		n.leaves = n.leaves[:0]
+	}
+	for r := n.runBits; r != 0; r &= r - 1 {
+		n.leaves = append(n.leaves, tag[bits.TrailingZeros64(r)])
 	}
 }
 

@@ -1,7 +1,10 @@
 package dataplane
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"swift/internal/encoding"
@@ -165,5 +168,168 @@ func TestFIBDumpUnchangedByReadPath(t *testing.T) {
 	a.TagOf(0)
 	if a.Dump() != b.Dump() {
 		t.Fatal("Dump differs between Replace-built and SetTag-built FIBs")
+	}
+}
+
+// TestPoptrieIndexBytesPerPrefix pins the index footprint of a dense
+// /24 table — 240 chunks of 256 /24s, every tag distinct, the shape of
+// a full-table peer. Each /24 paints 16 leaf slots of its stride-6 node
+// but is one leaf run, so the index stores one tag for it, not 16: the
+// lazy build the first lookup triggers must allocate at most 100 bytes
+// per prefix, root arrays included.
+func TestPoptrieIndexBytesPerPrefix(t *testing.T) {
+	const chunks, perChunk = 240, 256
+	entries := make([]TagEntry, 0, chunks*perChunk)
+	for c := 0; c < chunks; c++ {
+		for j := 0; j < perChunk; j++ {
+			p := netaddr.MakePrefix(uint32(10)<<24|uint32(c)<<16|uint32(j)<<8, 24)
+			entries = append(entries, TagEntry{Prefix: p, Tag: encoding.Tag(len(entries) + 1)})
+		}
+	}
+	var pt Poptrie
+	if err := pt.Replace(entries); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tag, ok := pt.Lookup(0x0a000001)
+	runtime.ReadMemStats(&after)
+	if !ok || tag != 1 {
+		t.Fatalf("Lookup(10.0.0.1) = %v,%v want 1,true", tag, ok)
+	}
+	perPrefix := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(entries))
+	t.Logf("index: %.1f B per prefix", perPrefix)
+	if perPrefix > 100 {
+		t.Fatalf("index allocated %.1f B per prefix, want <= 100", perPrefix)
+	}
+	for i, e := range entries {
+		if got, ok := pt.Lookup(e.Prefix.Addr() | 0xff); !ok || got != e.Tag {
+			t.Fatalf("entry %d %s: Lookup = %v,%v want %v,true", i, e.Prefix, got, ok, e.Tag)
+		}
+	}
+}
+
+// nodeAt returns the stride-6 node holding addr's prefixes of length
+// in (depth, depth+6], depth one of 16, 22, 28; nil when absent.
+func nodeAt(pt *Poptrie, addr uint32, depth int) *popNode {
+	n := pt.rootNode[addr>>16]
+	key := addr << 16
+	for d := 16; n != nil && d < depth; d += 6 {
+		bit := uint64(1) << (key >> 26)
+		if n.intBits&bit == 0 {
+			return nil
+		}
+		n = n.children[bits.OnesCount64(n.intBits&(bit-1))]
+		key <<= 6
+	}
+	return n
+}
+
+// checkRuns requires n's leaf runs to be minimal and addressable: every
+// run starts on a painted slot, the first painted slot starts one, each
+// run's tag differs from the run before it, and there is one stored tag
+// per run.
+func checkRuns(t *testing.T, n *popNode) {
+	t.Helper()
+	if n.runBits&^n.leafBits != 0 {
+		t.Fatalf("run starts %064b outside painted slots %064b", n.runBits, n.leafBits)
+	}
+	if n.leafBits != 0 && bits.TrailingZeros64(n.runBits) != bits.TrailingZeros64(n.leafBits) {
+		t.Fatalf("first painted slot %d does not start a run (%064b)", bits.TrailingZeros64(n.leafBits), n.runBits)
+	}
+	if got, want := len(n.leaves), bits.OnesCount64(n.runBits); got != want {
+		t.Fatalf("%d stored leaves for %d runs", got, want)
+	}
+	for i := 1; i < len(n.leaves); i++ {
+		if n.leaves[i] == n.leaves[i-1] {
+			t.Fatalf("runs %d and %d share tag %v: not merged", i-1, i, n.leaves[i])
+		}
+	}
+}
+
+// TestPoptrieLeafRunsMergeAndSplit walks one stride-6 node through the
+// run seams: two neighbouring /24s with the same tag merge into one
+// run, a /23 cover beneath them leaves that run whole, deleting one /24
+// exposes the cover's tag and splits the run, deleting the other
+// leaves the cover's run, and retagging a /24 across an unpainted gap
+// to the cover's tag merges the node into one run.
+func TestPoptrieLeafRunsMergeAndSplit(t *testing.T) {
+	a := netaddr.MustParsePrefix("10.1.2.0/24")
+	b := netaddr.MustParsePrefix("10.1.3.0/24")
+	cover := netaddr.MustParsePrefix("10.1.2.0/23")
+	other := netaddr.MustParsePrefix("10.1.0.0/24")
+	const inA, inB, inOther = 0x0a010280, 0x0a010380, 0x0a010080
+
+	var pt Poptrie
+	pt.Insert(other, 5)
+	pt.Insert(a, 7)
+	pt.Insert(b, 7)
+	n := nodeAt(&pt, inA, 22)
+	if n == nil || n != nodeAt(&pt, inB, 22) || n != nodeAt(&pt, inOther, 22) {
+		t.Fatal("the three /24s do not share one depth-22 node")
+	}
+	step := func(name string, runs int, want map[uint32]encoding.Tag) {
+		t.Helper()
+		checkRuns(t, n)
+		if got := bits.OnesCount64(n.runBits); got != runs {
+			t.Fatalf("%s: %d runs (%064b), want %d", name, got, n.runBits, runs)
+		}
+		for addr, tag := range want {
+			if got, ok := pt.Lookup(addr); !ok || got != tag {
+				t.Fatalf("%s: Lookup(%08x) = %v,%v want %v,true", name, addr, got, ok, tag)
+			}
+		}
+	}
+	step("merged", 2, map[uint32]encoding.Tag{inOther: 5, inA: 7, inB: 7})
+	pt.Insert(cover, 9)
+	step("covered", 2, map[uint32]encoding.Tag{inOther: 5, inA: 7, inB: 7})
+	pt.Delete(b)
+	step("split", 3, map[uint32]encoding.Tag{inOther: 5, inA: 7, inB: 9})
+	pt.Delete(a)
+	step("cover only", 2, map[uint32]encoding.Tag{inOther: 5, inA: 9, inB: 9})
+	pt.Insert(other, 9)
+	step("one tag", 1, map[uint32]encoding.Tag{inOther: 9, inA: 9, inB: 9})
+
+	// The lazy rebuild paints the same runs the incremental writes do.
+	var rebuilt Poptrie
+	if err := rebuilt.Replace(pt.entries); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt.Lookup(0)
+	m := nodeAt(&rebuilt, inA, 22)
+	checkRuns(t, m)
+	if m.leafBits != n.leafBits || m.runBits != n.runBits || !slices.Equal(m.leaves, n.leaves) {
+		t.Fatalf("rebuilt node %064b/%064b %v, incremental %064b/%064b %v",
+			m.leafBits, m.runBits, m.leaves, n.leafBits, n.runBits, n.leaves)
+	}
+}
+
+// TestPoptrieLeafRunsStayMinimal churns random prefixes with few
+// distinct tags inside two chunks, so runs merge and split constantly,
+// and after every write checks each node's runs against checkRuns.
+func TestPoptrieLeafRunsStayMinimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var pt Poptrie
+	var walk func(n *popNode)
+	walk = func(n *popNode) {
+		checkRuns(t, n)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		length := 17 + rng.Intn(16)
+		addr := uint32(10)<<24 | uint32(rng.Intn(2))<<16 | uint32(rng.Intn(4))<<8 | uint32(rng.Intn(256))
+		p := netaddr.MakePrefix(addr, length)
+		if rng.Intn(3) == 0 {
+			pt.Delete(p)
+		} else {
+			pt.Insert(p, encoding.Tag(rng.Intn(3)))
+		}
+		for _, n := range pt.rootNode[0x0a00:0x0a02] {
+			if n != nil {
+				walk(n)
+			}
+		}
 	}
 }

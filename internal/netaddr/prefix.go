@@ -74,8 +74,24 @@ func (p Prefix) Overlaps(q Prefix) bool {
 
 // String renders the prefix in dotted-quad CIDR notation.
 func (p Prefix) String() string {
+	var buf [20]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the prefix in the notation String renders to b and
+// returns the extended slice, so callers formatting many prefixes can
+// reuse one buffer.
+func (p Prefix) AppendTo(b []byte) []byte {
 	a := p.Addr()
-	return fmt.Sprintf("%d.%d.%d.%d/%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a), p.Len())
+	b = strconv.AppendUint(b, uint64(byte(a>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a)), 10)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(p.Len()), 10)
 }
 
 // ParsePrefix parses dotted-quad CIDR notation ("10.0.0.0/8").

@@ -1,6 +1,8 @@
 package netaddr
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,5 +151,35 @@ func TestPrefixPropertyContainsSelf(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStringMatchesSprintf pins String and AppendTo to the fmt form the
+// prefix was first rendered with, on random prefixes and on packed
+// values no constructor makes (the invalid zero, lengths past 32), and
+// String to its single allocation.
+func TestStringMatchesSprintf(t *testing.T) {
+	ref := func(p Prefix) string {
+		a := p.Addr()
+		return fmt.Sprintf("%d.%d.%d.%d/%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a), p.Len())
+	}
+	ps := []Prefix{Invalid, MakePrefix(0, 0), MakePrefix(^uint32(0), 32), Prefix(^uint64(0)), Prefix(0xc0a80100<<8 | 200)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		ps = append(ps, MakePrefix(rng.Uint32(), rng.Intn(33)))
+	}
+	buf := []byte("x")
+	for _, p := range ps {
+		want := ref(p)
+		if got := p.String(); got != want {
+			t.Fatalf("String(%#x) = %q, want %q", uint64(p), got, want)
+		}
+		if got := string(p.AppendTo(buf)); got != "x"+want {
+			t.Fatalf("AppendTo(%#x) = %q, want %q", uint64(p), got, "x"+want)
+		}
+	}
+	p := MakePrefix(0xc0a80100, 24)
+	if allocs := testing.AllocsPerRun(10, func() { _ = p.String() }); allocs > 1 {
+		t.Fatalf("String made %.0f allocations, want 1", allocs)
 	}
 }

@@ -17,13 +17,20 @@
 // no varints, no padding — so a given FleetImage always serializes to
 // the same bytes, and the images export in canonical order, so a
 // restored fleet re-snapshots byte-identically.
+//
+// Writer streams the format a section at a time — the pool, then one
+// peer per call — so a fleet is checkpointed without ever holding a
+// whole FleetImage; Write is the same writer run over one. Read
+// decodes a whole image and reuses one payload buffer across sections.
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"swift/internal/burst"
@@ -62,36 +69,110 @@ type FleetImage struct {
 	Peers []PeerImage
 }
 
-// Write serializes img to w.
+// Writer streams a fleet image to an io.Writer one section at a time,
+// so a caller that exports its state piece by piece never holds more
+// than one peer's image: NewWriter writes the header and the pool
+// section, each Peer call one peer section, and Close the end section
+// with the checksum. Every section is encoded into the same buffer,
+// sized up front from the section's exact length and rewound once the
+// section is written, so the encoder's memory is the largest section,
+// not the file.
+//
+// The first error — from w, or a peer out of order — is latched: every
+// later call returns it.
+type Writer struct {
+	w     io.Writer
+	crc   hash.Hash32
+	e     enc
+	start int // offset of the open section's header in e.b
+	last  event.PeerKey
+	peers int
+	err   error
+}
+
+var errWriterClosed = errors.New("snapshot: writer closed")
+
+// NewWriter writes the header and pool to w and returns the writer the
+// peer sections follow through.
+func NewWriter(w io.Writer, pool *rib.PoolImage) (*Writer, error) {
+	sw := &Writer{w: w, crc: crc32.NewIEEE()}
+	sw.e.b = make([]byte, 0, len(magic)+4+12+poolSize(pool))
+	sw.e.b = append(sw.e.b, magic...)
+	sw.e.u32(Version)
+	sw.open(secPool)
+	encodePool(&sw.e, pool)
+	if err := sw.flush(); err != nil {
+		return nil, err
+	}
+	return sw, nil
+}
+
+// Peer writes one peer section. Peers must come in strictly ascending
+// (AS, BGPID) order, the order Read requires.
+func (sw *Writer) Peer(p *PeerImage) error {
+	if sw.err != nil {
+		return sw.err
+	}
+	if sw.peers > 0 && !keyLess(sw.last, p.Key) {
+		sw.err = fmt.Errorf("snapshot: peers not ascending at %s", p.Key)
+		return sw.err
+	}
+	sw.last = p.Key
+	sw.peers++
+	if need := 12 + peerSize(p); cap(sw.e.b) < need {
+		sw.e.b = make([]byte, 0, need)
+	}
+	sw.open(secPeer)
+	encodePeer(&sw.e, p)
+	return sw.flush()
+}
+
+// Close writes the end section and the checksum. It does not close the
+// underlying writer.
+func (sw *Writer) Close() error {
+	if sw.err != nil {
+		return sw.err
+	}
+	sw.e.u32(secEnd)
+	sw.e.u64(4)
+	sw.crc.Write(sw.e.b)
+	// The checksum itself is outside the hashed span.
+	sw.e.u32(sw.crc.Sum32())
+	_, err := sw.w.Write(sw.e.b)
+	sw.e.b, sw.err = nil, errWriterClosed
+	return err
+}
+
+// open starts a section in the encoder buffer: its header goes in with
+// a zero length that flush patches once the payload is encoded.
+func (sw *Writer) open(kind uint32) {
+	sw.start = len(sw.e.b)
+	sw.e.u32(kind)
+	sw.e.u64(0)
+}
+
+// flush completes the open section, writes out and hashes everything
+// buffered, and rewinds the buffer for the next section.
+func (sw *Writer) flush() error {
+	putU64(sw.e.b[sw.start+4:], uint64(len(sw.e.b)-sw.start-12))
+	sw.crc.Write(sw.e.b)
+	_, sw.err = sw.w.Write(sw.e.b)
+	sw.e.b = sw.e.b[:0]
+	return sw.err
+}
+
+// Write serializes img to w: NewWriter, a Peer call per peer, Close.
 func Write(w io.Writer, img *FleetImage) error {
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	if _, err := cw.Write([]byte(magic)); err != nil {
-		return err
-	}
-	var e enc
-	e.u32(Version)
-	if err := cw.flush(&e); err != nil {
-		return err
-	}
-	encodePool(&e, &img.Pool)
-	if err := writeSection(cw, &e, secPool); err != nil {
+	sw, err := NewWriter(w, &img.Pool)
+	if err != nil {
 		return err
 	}
 	for i := range img.Peers {
-		encodePeer(&e, &img.Peers[i])
-		if err := writeSection(cw, &e, secPeer); err != nil {
+		if err := sw.Peer(&img.Peers[i]); err != nil {
 			return err
 		}
 	}
-	e.u32(secEnd)
-	e.u64(4)
-	if err := cw.flush(&e); err != nil {
-		return err
-	}
-	// The checksum itself is outside the hashed span.
-	e.u32(cw.crc.Sum32())
-	_, err := w.Write(e.take())
-	return err
+	return sw.Close()
 }
 
 // Read parses one fleet image from r, verifying the trailing checksum.
@@ -110,6 +191,9 @@ func Read(r io.Reader) (*FleetImage, error) {
 	img := &FleetImage{}
 	poolSeen := false
 	sec := make([]byte, 12)
+	// One payload buffer serves every section: the decoders copy out
+	// whatever they keep.
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(cr, sec); err != nil {
 			return nil, fmt.Errorf("snapshot: section header: %w", err)
@@ -132,8 +216,8 @@ func Read(r io.Reader) (*FleetImage, error) {
 		if n > 1<<34 {
 			return nil, fmt.Errorf("snapshot: section %d length %d implausible", kind, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(cr, payload); err != nil {
+		var err error
+		if payload, err = readPayload(cr, payload, int(n)); err != nil {
 			return nil, fmt.Errorf("snapshot: section %d payload: %w", kind, err)
 		}
 		d := &dec{b: payload}
@@ -172,6 +256,28 @@ func Read(r io.Reader) (*FleetImage, error) {
 	return img, nil
 }
 
+// readPayload reads an n-byte section payload into buf, reusing its
+// array when it is large enough. A payload larger than buf grows in
+// steps no bigger than what has already arrived, so a corrupt length
+// fails at the end of the stream instead of allocating it up front.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if n <= cap(buf) {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), 64<<10))
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			return buf, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return buf, nil
+}
+
 func keyLess(a, b event.PeerKey) bool {
 	if a.AS != b.AS {
 		return a.AS < b.AS
@@ -191,6 +297,15 @@ func encodePool(e *enc, p *rib.PoolImage) {
 		e.u32(uint32(pi.ID))
 		e.u32s(pi.Path)
 	}
+}
+
+// poolSize is the exact payload length encodePool writes for p.
+func poolSize(p *rib.PoolImage) int {
+	n := 8 + 8*len(p.Links) + 8
+	for _, pi := range p.Paths {
+		n += 4 + 8 + 4*len(pi.Path)
+	}
+	return n
 }
 
 func decodePool(d *dec, p *rib.PoolImage) {
@@ -308,6 +423,42 @@ func encodePeer(e *enc, p *PeerImage) {
 	e.u64(st.ExtEpoch)
 }
 
+// peerSize is the exact payload length encodePeer writes for p, field
+// group by field group in encodePeer's order.
+func peerSize(p *PeerImage) int {
+	st := &p.State
+	table := func(t *rib.TableImage) int { return 4 + 8 + 12*len(t.Routes) }
+	n := 4 + 4 + table(&st.Table)
+	n += 8
+	for i := range st.Alts {
+		n += 4 + table(&st.Alts[i].Table)
+	}
+	n += 8 + 16*len(st.History.Counts)
+	n += 1 + 8 + 8 + 8 + 8*len(st.Detector.Times)
+	n++
+	if pl := st.Plan; pl != nil {
+		n += 8 + 8 + 8
+		for _, b := range pl.Backups {
+			n += 8 + 8 + 4*len(b.Row)
+		}
+		n += 8 + 12*len(pl.Assigned)
+	}
+	n++
+	if s := st.Scheme; s != nil {
+		n += 5*8 + 4 + 8
+		for _, dict := range s.LinkDicts {
+			n += 8 + 16*len(dict)
+		}
+		n += 8 + 12*len(s.NHs)
+		n += 8 + 16*len(s.Tags)
+	}
+	n += 8 + 16*len(st.FIB.Tags)
+	n += 8 + 28*len(st.FIB.Rules)
+	n += 8 + 8 + 8 + 1 + 8 + 8 + 1
+	n += 8 + 8*len(st.OwnLinks) + 1 + 8 + 8*len(st.ExtLinks) + 8
+	return n
+}
+
 func decodePeer(d *dec, p *PeerImage) {
 	st := &p.State
 	p.Key.AS = d.u32()
@@ -409,18 +560,6 @@ func decodePeer(d *dec, p *PeerImage) {
 
 // --- primitives --------------------------------------------------------
 
-func writeSection(cw *crcWriter, e *enc, kind uint32) error {
-	payload := e.take()
-	var h enc
-	h.u32(kind)
-	h.u64(uint64(len(payload)))
-	if err := cw.flush(&h); err != nil {
-		return err
-	}
-	_, err := cw.Write(payload)
-	return err
-}
-
 // enc accumulates little-endian fixed-width fields.
 type enc struct{ b []byte }
 
@@ -460,14 +599,6 @@ func (e *enc) u32s(v []uint32) {
 	for _, x := range v {
 		e.u32(x)
 	}
-}
-
-// take returns the accumulated bytes and resets the encoder, keeping
-// the slab.
-func (e *enc) take() []byte {
-	b := e.b
-	e.b = e.b[len(e.b):]
-	return b
 }
 
 // dec reads little-endian fixed-width fields, latching the first error.
@@ -596,11 +727,9 @@ func (d *dec) u32sArena() []uint32 {
 		return nil
 	}
 	if cap(d.arena)-len(d.arena) < n {
-		sz := 1 << 16
-		if n > sz {
-			sz = n
-		}
-		d.arena = make([]uint32, 0, sz)
+		// A chunk never outgrows what the rest of the payload can hold,
+		// so a small section does not pay for a full one.
+		d.arena = make([]uint32, 0, max(n, min(1<<16, (len(d.b)-d.off)/4)))
 	}
 	start := len(d.arena)
 	for i := 0; i < n; i++ {
@@ -632,20 +761,10 @@ func leU64(b []byte) uint64 {
 	return uint64(leU32(b)) | uint64(leU32(b[4:]))<<32
 }
 
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc.Write(p[:n])
-	return n, err
-}
-
-func (cw *crcWriter) flush(e *enc) error {
-	_, err := cw.Write(e.take())
-	return err
+func putU64(b []byte, v uint64) {
+	for i := range 8 {
+		b[i] = byte(v >> (8 * i))
+	}
 }
 
 type crcReader struct {

@@ -98,22 +98,22 @@ func rawStream(sections ...[2]any) []byte {
 	var e enc
 	b := []byte(magic)
 	e.u32(Version)
-	b = append(b, e.take()...)
+	b = append(b, e.b...)
 	for _, s := range sections {
 		kind, payload := s[0].(uint32), s[1].([]byte)
 		var h enc
 		h.u32(kind)
 		h.u64(uint64(len(payload)))
-		b = append(b, h.take()...)
+		b = append(b, h.b...)
 		b = append(b, payload...)
 	}
 	var h enc
 	h.u32(secEnd)
 	h.u64(4)
-	b = append(b, h.take()...)
+	b = append(b, h.b...)
 	var tail enc
 	tail.u32(crc32.ChecksumIEEE(b))
-	return append(b, tail.take()...)
+	return append(b, tail.b...)
 }
 
 func TestWireStructuralErrors(t *testing.T) {
@@ -122,7 +122,7 @@ func TestWireStructuralErrors(t *testing.T) {
 		e.u64(1) // one link: the reserved zero entry
 		e.link(topology.Link{})
 		e.u64(0) // no paths
-		return e.take()
+		return e.b
 	}
 	cases := []struct {
 		name string
@@ -141,5 +141,53 @@ func TestWireStructuralErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSectionSizesExact pins poolSize and peerSize to what encodePool
+// and encodePeer write — on a real provisioned peer, on the synthetic
+// peer that fills every optional field, on one with no plan or scheme
+// and on the empty image — so the writer's buffer is sized once per
+// section and never grows while encoding.
+func TestSectionSizesExact(t *testing.T) {
+	for k, img := range []*FleetImage{testImage(t), syntheticImage(), {Peers: []PeerImage{{}}}} {
+		var e enc
+		encodePool(&e, &img.Pool)
+		if got, want := poolSize(&img.Pool), len(e.b); got != want {
+			t.Errorf("image %d: poolSize %d, encodePool wrote %d", k, got, want)
+		}
+		for i := range img.Peers {
+			var e enc
+			encodePeer(&e, &img.Peers[i])
+			if got, want := peerSize(&img.Peers[i]), len(e.b); got != want {
+				t.Errorf("image %d peer %d: peerSize %d, encodePeer wrote %d", k, i, got, want)
+			}
+		}
+	}
+}
+
+// TestWriterRejectsPeersOutOfOrder pins the writer to the order Read
+// requires: a peer whose key does not follow the last one's fails the
+// write, and the error sticks for every later call.
+func TestWriterRejectsPeersOutOfOrder(t *testing.T) {
+	img := syntheticImage()
+	img.Peers[0], img.Peers[1] = img.Peers[1], img.Peers[0]
+	var buf bytes.Buffer
+	sw, err := NewWriter(&buf, &img.Pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Peer(&img.Peers[0]); err != nil {
+		t.Fatal(err)
+	}
+	err = sw.Peer(&img.Peers[1])
+	if err == nil || !strings.Contains(err.Error(), "not ascending") {
+		t.Fatalf("out-of-order peer: error %v, want \"not ascending\"", err)
+	}
+	if err2 := sw.Close(); err2 != err {
+		t.Fatalf("Close after the failed peer returned %v, want %v", err2, err)
+	}
+	if err := Write(&buf, img); err == nil {
+		t.Fatal("Write accepted peers out of order")
 	}
 }
