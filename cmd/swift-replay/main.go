@@ -60,6 +60,16 @@ func main() {
 		PrimaryNeighbor: uint32(*peerAS),
 	}
 	cfg.Observer = swiftengine.LoggingObserver(logger.Infof)
+	// The summary keeps each decision's printed line, not its predicted
+	// set, so a long archive's replay does not grow with its decisions.
+	var summary []string
+	logDecision := cfg.Observer.OnDecision
+	cfg.Observer.OnDecision = func(d swiftengine.Decision) {
+		logDecision(d)
+		summary = append(summary, fmt.Sprintf("at %v: links %v (received %d, predicted %d, %d rules, %v)",
+			d.At.Round(time.Millisecond), d.Result.Links, d.Result.Received,
+			len(d.Predicted), d.RulesInstalled, d.DataplaneTime))
+	}
 	cfg.Inference = inference.Default()
 	cfg.Inference.TriggerEvery = *trigger
 	cfg.Inference.UseHistory = *history
@@ -88,12 +98,9 @@ func main() {
 	}
 
 	fmt.Printf("\nreplayed %d per-prefix events over %d RIB routes\n", src.Events, src.Routes)
-	decisions := engine.Decisions()
 	fmt.Printf("decisions: %d accepted, %d deferred by the gate\n",
-		len(decisions), engine.Deferred())
-	for i, d := range decisions {
-		fmt.Printf("  #%d at %v: links %v (received %d, predicted %d, %d rules, %v)\n",
-			i+1, d.At.Round(time.Millisecond), d.Result.Links, d.Result.Received,
-			len(d.Predicted), d.RulesInstalled, d.DataplaneTime)
+		engine.NumDecisions(), engine.Deferred())
+	for i, line := range summary {
+		fmt.Printf("  #%d %s\n", i+1, line)
 	}
 }

@@ -29,9 +29,8 @@ func main() {
 	sols := netw.Solve(netw.Graph)
 
 	// SWIFT engine for AS 1. Decisions are pushed over a channel by the
-	// Observer hook instead of polled from the decision log; the example
-	// reads only the first, so later ones are dropped rather than block
-	// the engine.
+	// Observer hook; the example reads only the first, so later ones are
+	// dropped rather than block the engine.
 	decisions := make(chan swift.Decision, 1)
 	cfg := swift.Config{LocalAS: 1, PrimaryNeighbor: 2}
 	cfg.Inference = swift.DefaultInference()

@@ -31,7 +31,9 @@ func main() {
 	sols := net.Solve(net.Graph)
 	cfg := swift.Config{LocalAS: 1, PrimaryNeighbor: 2}
 	cfg.Inference = swift.DefaultInference() // 2.5k trigger, history on
+	var decisions []swift.Decision
 	cfg.Observer.OnDecision = func(d swift.Decision) {
+		decisions = append(decisions, d)
 		fmt.Printf("  inference at %v: links %v (%d received), %d prefixes covered\n",
 			d.At.Round(time.Millisecond), d.Result.Links, d.Result.Received, len(d.Predicted))
 	}
@@ -73,7 +75,7 @@ func main() {
 	// Compare data-plane downtime, probing 100 withdrawn prefixes.
 	probes := experiments.SampleProbes(b, 100)
 	bgpDown := experiments.MeasureDowntime(experiments.RestoreTimesBGP(b, 0), probes)
-	swiftDown := experiments.MeasureDowntime(experiments.RestoreTimesSwift(b, engine.Decisions(), 0), probes)
+	swiftDown := experiments.MeasureDowntime(experiments.RestoreTimesSwift(b, decisions, 0), probes)
 
 	fmt.Printf("\nvanilla router : all probes restored after %v (median %v)\n",
 		bgpDown.Last.Round(time.Millisecond), bgpDown.Median.Round(time.Millisecond))

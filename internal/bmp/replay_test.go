@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,7 +142,10 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 
 	// Path 1: direct one-event Apply calls, exactly what the MRT bytes
 	// say.
-	direct := swiftengine.New(replayEngineConfig(sess.Vantage, sess.Neighbor))
+	var want []swiftengine.Decision
+	directCfg := replayEngineConfig(sess.Vantage, sess.Neighbor)
+	directCfg.Observer.OnDecision = func(d swiftengine.Decision) { want = append(want, d) }
+	direct := swiftengine.New(directCfg)
 	apply := func(ev event.Event) {
 		if err := direct.Apply(event.Batch{ev}); err != nil {
 			t.Fatal(err)
@@ -196,10 +201,19 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 
 	// Path 2: the same MRT bytes replayed as a BMP router into a
 	// station (table dump + End-of-RIB + timestamped updates).
+	var (
+		mu  sync.Mutex
+		got []swiftengine.Decision
+	)
 	fleet := controller.NewFleet(controller.FleetConfig{
 		Engine: func(controller.PeerKey) swiftengine.Config {
 			return replayEngineConfig(sess.Vantage, sess.Neighbor)
 		},
+		Observer: controller.FleetObserver{OnDecision: func(_ controller.PeerKey, d swiftengine.Decision) {
+			mu.Lock()
+			got = append(got, d)
+			mu.Unlock()
+		}},
 	})
 	defer fleet.Close()
 	st := NewStation(StationConfig{Sink: fleet, TableSettle: time.Hour})
@@ -263,12 +277,11 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 	}
 	fleet.Sync()
 
-	h, ok := fleet.Lookup(key)
-	if !ok {
+	if _, ok := fleet.Lookup(key); !ok {
 		t.Fatal("replay peer missing from fleet")
 	}
-	got := h.Decisions()
-	want := direct.Decisions()
+	mu.Lock()
+	defer mu.Unlock()
 	if len(want) == 0 {
 		t.Fatalf("direct path made no decisions (burst sizes %d); test is vacuous", bursts[0].Size)
 	}
@@ -288,8 +301,8 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 				t.Errorf("decision %d: link %d = %v, want %v", i, j, g.Result.Links[j], w.Result.Links[j])
 			}
 		}
-		if len(g.Predicted) != len(w.Predicted) {
-			t.Errorf("decision %d: predicted %d prefixes, want %d", i, len(g.Predicted), len(w.Predicted))
+		if !slices.Equal(g.Predicted, w.Predicted) {
+			t.Errorf("decision %d: predicted %d prefixes, want the direct path's %d", i, len(g.Predicted), len(w.Predicted))
 		}
 		if g.RulesInstalled != w.RulesInstalled {
 			t.Errorf("decision %d: %d rules, want %d", i, g.RulesInstalled, w.RulesInstalled)

@@ -78,7 +78,7 @@ func TestStationFeedsSessionSink(t *testing.T) {
 		if e.RIB().Len() != 100 { // 500 learned - 400 withdrawn
 			t.Errorf("RIB has %d routes after the burst, want 100", e.RIB().Len())
 		}
-		if len(e.Decisions()) == 0 {
+		if e.NumDecisions() == 0 {
 			t.Error("burst made no decisions through the session sink")
 		}
 	})

@@ -136,7 +136,18 @@ func TestStationMultiPeerBurst(t *testing.T) {
 	sols := netw.Solve(netw.Graph)
 	primary := fig1Routes(t, netw, sols, 2)
 
-	fleet := controller.NewFleet(controller.FleetConfig{Engine: fig1FleetConfig})
+	var (
+		mu         sync.Mutex
+		lastByPeer = make(map[controller.PeerKey]swiftengine.Decision)
+	)
+	fleet := controller.NewFleet(controller.FleetConfig{
+		Engine: fig1FleetConfig,
+		Observer: controller.FleetObserver{OnDecision: func(peer controller.PeerKey, d swiftengine.Decision) {
+			mu.Lock()
+			lastByPeer[peer] = d
+			mu.Unlock()
+		}},
+	})
 	defer fleet.Close()
 
 	keys := []controller.PeerKey{{AS: 2, BGPID: 21}, {AS: 2, BGPID: 22}}
@@ -187,16 +198,16 @@ func TestStationMultiPeerBurst(t *testing.T) {
 	if got := fleet.Len(); got != len(keys) {
 		t.Fatalf("fleet has %d peers, want %d", got, len(keys))
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	for _, key := range keys {
-		h, ok := fleet.Lookup(key)
-		if !ok {
+		if _, ok := fleet.Lookup(key); !ok {
 			t.Fatalf("peer %s missing from fleet", key)
 		}
-		ds := h.Decisions()
-		if len(ds) == 0 {
+		last, ok := lastByPeer[key]
+		if !ok {
 			t.Fatalf("peer %s made no decisions", key)
 		}
-		last := ds[len(ds)-1]
 		found := false
 		for _, l := range last.Result.Links {
 			if l == topology.MakeLink(5, 6) {

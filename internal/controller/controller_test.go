@@ -2,6 +2,7 @@ package controller
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,15 +56,27 @@ func TestLiveBurstReroute(t *testing.T) {
 	// The factory leaves PrimaryNeighbor unset, as swiftd's does: the
 	// fleet makes it the peer's AS. A fixed 0 installs no primary rule,
 	// and the engine forwards nothing.
-	fleet := NewFleet(FleetConfig{Engine: func(PeerKey) swiftengine.Config {
-		cfg := swiftengine.Config{LocalAS: 1}
-		cfg.Inference = inference.Default()
-		cfg.Inference.TriggerEvery = 250
-		cfg.Inference.UseHistory = false
-		cfg.Encoding.MinPrefixes = 100
-		cfg.Burst.StartThreshold = 100
-		return cfg
-	}})
+	var (
+		mu      sync.Mutex
+		last    swiftengine.Decision
+		decided bool
+	)
+	fleet := NewFleet(FleetConfig{
+		Engine: func(PeerKey) swiftengine.Config {
+			cfg := swiftengine.Config{LocalAS: 1}
+			cfg.Inference = inference.Default()
+			cfg.Inference.TriggerEvery = 250
+			cfg.Inference.UseHistory = false
+			cfg.Encoding.MinPrefixes = 100
+			cfg.Burst.StartThreshold = 100
+			return cfg
+		},
+		Observer: FleetObserver{OnDecision: func(_ PeerKey, d swiftengine.Decision) {
+			mu.Lock()
+			last, decided = d, true
+			mu.Unlock()
+		}},
+	})
 	defer fleet.Close()
 
 	local, peer := livePair(t)
@@ -142,7 +155,10 @@ func TestLiveBurstReroute(t *testing.T) {
 	for {
 		onLink := -1
 		p.Do(func(e *swiftengine.Engine) { onLink = e.RIB().OnLink(topology.MakeLink(5, 6)) })
-		if len(p.Decisions()) > 0 && onLink == 0 {
+		mu.Lock()
+		done := decided && onLink == 0
+		mu.Unlock()
+		if done {
 			break
 		}
 		select {
@@ -152,16 +168,17 @@ func TestLiveBurstReroute(t *testing.T) {
 		}
 	}
 
-	ds := p.Decisions()
-	last := ds[len(ds)-1]
+	mu.Lock()
+	links := last.Result.Links
+	mu.Unlock()
 	found := false
-	for _, l := range last.Result.Links {
+	for _, l := range links {
 		if l == topology.MakeLink(5, 6) {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("final live inference = %v, want (5,6)", last.Result.Links)
+		t.Errorf("final live inference = %v, want (5,6)", links)
 	}
 
 	// Closing the session ends the source cleanly.

@@ -167,7 +167,7 @@ type Fleet struct {
 	fuseWG   sync.WaitGroup
 
 	// Push-fed aggregates, maintained by the per-engine observers so
-	// Metrics never has to lock every engine and walk its decision log.
+	// Metrics never has to lock every engine.
 	decisions atomic.Int64
 	rules     atomic.Int64
 	rerouting atomic.Int64
@@ -556,26 +556,6 @@ func (f *Fleet) Len() int {
 	return n
 }
 
-// PeerDecision is one engine decision attributed to its peer.
-type PeerDecision struct {
-	Peer PeerKey
-	swiftengine.Decision
-}
-
-// Decisions aggregates every peer engine's decision log, ordered by
-// peer then decision time. Live consumers should prefer the push-based
-// FleetObserver.OnDecision hook; this accessor locks each engine in
-// turn and copies.
-func (f *Fleet) Decisions() []PeerDecision {
-	var out []PeerDecision
-	for _, p := range f.Peers() {
-		for _, d := range p.Decisions() {
-			out = append(out, PeerDecision{Peer: p.key, Decision: d})
-		}
-	}
-	return out
-}
-
 // FleetMetrics is an aggregate snapshot across the pool.
 type FleetMetrics struct {
 	Peers          int
@@ -595,7 +575,7 @@ type FleetMetrics struct {
 
 // Metrics snapshots the fleet's aggregate counters. The decision and
 // rule aggregates are push-fed by the per-engine observers, so the
-// snapshot never locks an engine or walks a decision log.
+// snapshot never locks an engine.
 func (f *Fleet) Metrics() FleetMetrics {
 	ps := f.pool.Stats()
 	m := FleetMetrics{
@@ -849,13 +829,6 @@ func (p *FleetPeer) Provision() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.engine.Provision()
-}
-
-// Decisions snapshots the engine's decision log.
-func (p *FleetPeer) Decisions() []swiftengine.Decision {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.engine.Decisions()
 }
 
 // RerouteActive reports whether fast-reroute rules are installed.

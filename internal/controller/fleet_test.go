@@ -105,8 +105,8 @@ func TestFleetBatchDelivery(t *testing.T) {
 	if m.Peers != 1 || m.Ops != 2 || m.Withdrawals != 1 || m.Announcements != 1 {
 		t.Errorf("metrics = %+v", m)
 	}
-	if len(f.Decisions()) != 0 {
-		t.Errorf("unexpected decisions: %v", f.Decisions())
+	if m.Decisions != 0 {
+		t.Errorf("unexpected decisions: %d", m.Decisions)
 	}
 }
 

@@ -159,7 +159,11 @@ func TestFleetObserverAndPushMetrics(t *testing.T) {
 	if m.Rerouting != 0 {
 		t.Errorf("rerouting gauge = %d after fallback, want 0", m.Rerouting)
 	}
-	if len(f.Decisions()) != decisions {
-		t.Errorf("aggregated decision log has %d, want %d", len(f.Decisions()), decisions)
+	engineDecisions := 0
+	for _, p := range f.Peers() {
+		p.Do(func(e *swiftengine.Engine) { engineDecisions += e.NumDecisions() })
+	}
+	if engineDecisions != decisions {
+		t.Errorf("engines count %d decisions, observer saw %d", engineDecisions, decisions)
 	}
 }

@@ -133,7 +133,7 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Fresh burst cycles on both peers, replayed into both fleets. The
-	// decision log is not part of the snapshot, so compare deltas.
+	// decision count is not part of the snapshot, so compare deltas.
 	before := map[PeerKey][2]int{}
 	for _, key := range []PeerKey{keySteady, keyCycled} {
 		before[key] = [2]int{viewOf(live.Peer(key)).decided, viewOf(restored.Peer(key)).decided}

@@ -68,6 +68,8 @@ func TestSwiftBeatsBGP(t *testing.T) {
 	cfg.Inference.UseHistory = false
 	cfg.Encoding.MinPrefixes = 200
 	cfg.Burst.StartThreshold = 200
+	var decisions []swiftengine.Decision
+	cfg.Observer.OnDecision = func(d swiftengine.Decision) { decisions = append(decisions, d) }
 	e := swiftengine.New(cfg)
 	for origin := range net.Origins {
 		for _, nb := range []uint32{2, 3, 4} {
@@ -91,13 +93,13 @@ func TestSwiftBeatsBGP(t *testing.T) {
 	if err := (&bgpsim.BurstSource{Bursts: []*bgpsim.Burst{b}, FinalTick: -1}).Run(e); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Decisions()) == 0 {
+	if len(decisions) == 0 {
 		t.Fatal("no decisions")
 	}
 
 	probes := SampleProbes(b, 100)
 	bgpRestore := RestoreTimesBGP(b, 0)
-	swiftRestore := RestoreTimesSwift(b, e.Decisions(), 0)
+	swiftRestore := RestoreTimesSwift(b, decisions, 0)
 	dBGP := MeasureDowntime(bgpRestore, probes)
 	dSwift := MeasureDowntime(swiftRestore, probes)
 	if dSwift.Median >= dBGP.Median {

@@ -41,6 +41,8 @@ func Fig9(prefixes int, seed int64) Fig9Result {
 	cfg := swiftengine.Config{LocalAS: 1, PrimaryNeighbor: 2}
 	cfg.Inference = inference.Default()
 	cfg.Inference.UseHistory = true
+	var decisions []swiftengine.Decision
+	cfg.Observer.OnDecision = func(d swiftengine.Decision) { decisions = append(decisions, d) }
 	e := swiftengine.New(cfg)
 	for _, nb := range []uint32{2, 3, 4} {
 		r, ok := sols[6].ExportTo(net.Graph, net.Policy, nb, 1)
@@ -66,7 +68,7 @@ func Fig9(prefixes int, seed int64) Fig9Result {
 
 	probes := SampleProbes(b, 100)
 	bgpRestore := RestoreTimesBGP(b, bgpsim.PerPrefixUpdate)
-	swiftRestore := RestoreTimesSwift(b, e.Decisions(), bgpsim.PerPrefixUpdate)
+	swiftRestore := RestoreTimesSwift(b, decisions, bgpsim.PerPrefixUpdate)
 	dBGP := MeasureDowntime(bgpRestore, probes)
 	dSwift := MeasureDowntime(swiftRestore, probes)
 

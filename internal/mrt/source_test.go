@@ -3,6 +3,7 @@ package mrt_test
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func materializeMRT(t *testing.T, ds *trace.Dataset, s trace.Session, bursts []*
 // TestSourceBatchesMatchPerEventApply is the redesign's
 // semantic-equivalence gate: replaying the same MRT archives through
 // mrt.Source's batches and through one-event Apply calls must yield
-// identical Decisions() — the event-stream API changes no paper
+// identical decisions — the event-stream API changes no paper
 // semantics.
 func TestSourceBatchesMatchPerEventApply(t *testing.T) {
 	ds := trace.Generate(trace.Config{
@@ -139,7 +140,10 @@ func TestSourceBatchesMatchPerEventApply(t *testing.T) {
 	// Path 1: mrt.Source feeding Engine.Apply through a SessionSink
 	// (RIB loads via the Provisioner surface, updates stream as
 	// batches).
-	viaSource := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
+	var got, want []swiftengine.Decision
+	sourceCfg := sourceEngineConfig(sess.Vantage, sess.Neighbor)
+	sourceCfg.Observer.OnDecision = func(d swiftengine.Decision) { got = append(got, d) }
+	viaSource := swiftengine.New(sourceCfg)
 	src := &mrt.Source{
 		RIB:       bytes.NewReader(ribMRT),
 		Updates:   bytes.NewReader(updMRT),
@@ -155,7 +159,9 @@ func TestSourceBatchesMatchPerEventApply(t *testing.T) {
 
 	// Path 2: a per-message walk over the same bytes, one event per
 	// Apply call.
-	perEvent := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
+	perEventCfg := sourceEngineConfig(sess.Vantage, sess.Neighbor)
+	perEventCfg.Observer.OnDecision = func(d swiftengine.Decision) { want = append(want, d) }
+	perEvent := swiftengine.New(perEventCfg)
 	if err := mrt.WalkRIBIPv4(bytes.NewReader(ribMRT), func(rr *mrt.RIBRecord) error {
 		for _, e := range rr.Entries {
 			perEvent.LearnPrimary(rr.Prefix, e.Attrs.ASPath)
@@ -207,7 +213,6 @@ func TestSourceBatchesMatchPerEventApply(t *testing.T) {
 	}
 	apply(event.Tick(lastAt + finalTick))
 
-	got, want := viaSource.Decisions(), perEvent.Decisions()
 	if len(want) == 0 {
 		t.Fatalf("per-event path made no decisions (burst sizes %d); test is vacuous", bursts[0].Size)
 	}
@@ -227,8 +232,8 @@ func TestSourceBatchesMatchPerEventApply(t *testing.T) {
 				t.Errorf("decision %d: link %d = %v, want %v", i, j, g.Result.Links[j], w.Result.Links[j])
 			}
 		}
-		if len(g.Predicted) != len(w.Predicted) {
-			t.Errorf("decision %d: predicted %d prefixes, want %d", i, len(g.Predicted), len(w.Predicted))
+		if !slices.Equal(g.Predicted, w.Predicted) {
+			t.Errorf("decision %d: predicted %d prefixes, want the per-event path's %d", i, len(g.Predicted), len(w.Predicted))
 		}
 		if g.RulesInstalled != w.RulesInstalled {
 			t.Errorf("decision %d: %d rules, want %d", i, g.RulesInstalled, w.RulesInstalled)

@@ -2,8 +2,10 @@ package swift
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"swift/internal/bgpsim"
 	"swift/internal/fusion"
@@ -77,10 +79,11 @@ func TestCorroboratedMatchesReference(t *testing.T) {
 // provisioned engine whose burst withdrew prefixes across (5,6), some
 // of them twice with a re-announcement in between, and checks every
 // external decision against the hash-set reference — contents, order,
-// and a capacity equal to the length, so the decision log holds what
-// it reports and nothing more.
+// and a capacity equal to the length, so a receiver that keeps the set
+// holds what it reports and nothing more.
 func TestApplyExternalKeepsExactCorroboratedSet(t *testing.T) {
 	e, _ := fig1Engine(t, 200, false)
+	ds := recordDecisions(e)
 	link := topology.MakeLink(5, 6)
 	for i := 0; i < 40; i++ {
 		e.tracker.ObserveWithdraw(netaddr.PrefixFor(8, i))
@@ -118,11 +121,10 @@ func TestApplyExternalKeepsExactCorroboratedSet(t *testing.T) {
 			At:        1,
 			Epoch:     uint64(n + 1),
 		})
-		ds := e.Decisions()
-		if len(ds) != n+1 {
-			t.Fatalf("verdict %d: %d decisions, want %d", n, len(ds), n+1)
+		if len(*ds) != n+1 {
+			t.Fatalf("verdict %d: %d decisions, want %d", n, len(*ds), n+1)
 		}
-		d := ds[n]
+		d := (*ds)[n]
 		want := referenceCorroborated(predicted, local)
 		if !d.External || !slices.Equal(d.Predicted, want) {
 			t.Errorf("verdict %d: external %v, predicted %v, want %v", n, d.External, d.Predicted, want)
@@ -141,14 +143,72 @@ func TestRerouteDecisionsAreExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := recordDecisions(e)
 	playBurst(t, e, b)
-	ds := e.Decisions()
-	if len(ds) == 0 {
+	if len(*ds) == 0 {
 		t.Fatal("the burst made no decision")
 	}
-	for n, d := range ds {
+	for n, d := range *ds {
 		if len(d.Predicted) == 0 || cap(d.Predicted) != len(d.Predicted) {
 			t.Errorf("decision %d: predicted set has cap %d for %d prefixes", n, cap(d.Predicted), len(d.Predicted))
 		}
+	}
+}
+
+// cyclingEngine returns benchEngine over 4,096 prefixes and a function
+// that plays it one benchBurstCycle — one decision — per call.
+func cyclingEngine(t *testing.T) (*Engine, func()) {
+	prefixes := make([]netaddr.Prefix, 4096)
+	for i := range prefixes {
+		prefixes[i] = netaddr.PrefixFor(8, i)
+	}
+	batch := benchBurstCycle(prefixes)
+	span := batch[len(batch)-1].At + time.Hour
+	e := benchEngine(t, prefixes)
+	return e, func() {
+		if err := e.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		shiftBatch(batch, span)
+	}
+}
+
+// TestDecisionsDoNotGrowTheHeap: the engine keeps a count of its
+// decisions and nothing else, so a long run of burst cycles — one
+// decision each, every one predicting thousands of prefixes — leaves
+// its live heap where it was.
+func TestDecisionsDoNotGrowTheHeap(t *testing.T) {
+	e, cycle := cyclingEngine(t)
+	run := func(cycles int) uint64 {
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := run(20)
+	after := run(200)
+	runtime.KeepAlive(e)
+	if e.NumDecisions() != 220 {
+		t.Fatalf("made %d decisions over 220 cycles, want one per cycle", e.NumDecisions())
+	}
+	if grew := int64(after) - int64(before); grew >= 1<<20 {
+		t.Errorf("live heap grew by %.2f MiB over 200 decisions", float64(grew)/(1<<20))
+	}
+}
+
+// TestBurstCycleAllocations: with logging off, a burst cycle — detect,
+// infer, reroute, reconverge, fall back — allocates only what it hands
+// out or keeps, not the boxed arguments of log lines nobody prints.
+func TestBurstCycleAllocations(t *testing.T) {
+	e, cycle := cyclingEngine(t)
+	allocs := testing.AllocsPerRun(20, cycle)
+	if e.NumDecisions() != 21 {
+		t.Fatalf("made %d decisions over 21 cycles, want one per cycle", e.NumDecisions())
+	}
+	if allocs > 8 {
+		t.Errorf("a burst cycle allocates %.0f times, want at most 8", allocs)
 	}
 }

@@ -189,8 +189,8 @@ type ProvisionInfo struct {
 // Observer is the engine's push-notification surface. Each hook, when
 // non-nil, is called synchronously on the goroutine applying the stream
 // — hooks must be fast and must not call back into the engine. It
-// replaces log-line scraping and Decisions() polling for live
-// consumers.
+// replaces log-line scraping for live consumers, and OnDecision is the
+// only way to read a decision: the engine keeps none.
 type Observer struct {
 	// OnBurstStart fires when the detector opens a burst.
 	OnBurstStart func(at time.Duration, withdrawals int)
@@ -232,11 +232,11 @@ type Engine struct {
 	lastTriggerAt  int // tracker count at the previous inference attempt
 	burstStartAt   time.Duration
 	rerouteActive  bool
-	// decisions is the decision log; each Decision's Predicted is an
-	// exact-length copy, so the log holds what it reports and nothing
-	// more. gather is the scratch a decision's prefix set is built in
-	// before that copy.
-	decisions []Decision
+	// decisions counts accepted inferences; the engine keeps no log of
+	// them — OnDecision hands each one to whoever wants it. gather is
+	// the scratch a decision's prefix set is built in before it is
+	// copied out.
+	decisions int
 	gather    []netaddr.Prefix
 	deferred  int // inferences rejected by the plausibility gate
 	vetoed    int // inferences deferred by the fusion conflict gate
@@ -319,8 +319,10 @@ func (e *Engine) provision(at time.Duration, fallback bool) error {
 		stats := e.scheme.Stats()
 		e.cfg.Metrics.Provisions.Inc()
 		e.cfg.Metrics.ProvisionsUnchanged.Inc()
-		e.logf("re-provision skipped: RIB reconverged onto provisioned state (%d prefixes tagged)",
-			stats.TaggedPrefixes)
+		if e.cfg.Logf != nil {
+			e.logf("re-provision skipped: RIB reconverged onto provisioned state (%d prefixes tagged)",
+				stats.TaggedPrefixes)
+		}
 		if e.cfg.Observer.OnProvision != nil {
 			rows := 0
 			if e.plan != nil {
@@ -370,8 +372,10 @@ func (e *Engine) provision(at time.Duration, fallback bool) error {
 	e.provisionSig, e.haveProvision = sig, true
 	e.cfg.Metrics.Provisions.Inc()
 	stats := scheme.Stats()
-	e.logf("provisioned: %d prefixes tagged, %d path bits, %d next-hops",
-		stats.TaggedPrefixes, stats.PathBitsUsed, stats.NextHops)
+	if e.cfg.Logf != nil {
+		e.logf("provisioned: %d prefixes tagged, %d path bits, %d next-hops",
+			stats.TaggedPrefixes, stats.PathBitsUsed, stats.NextHops)
+	}
 	if e.cfg.Observer.OnProvision != nil {
 		e.cfg.Observer.OnProvision(ProvisionInfo{
 			At:             at,
@@ -398,20 +402,9 @@ func (e *Engine) Pool() *rib.Pool { return e.cfg.Pool }
 // Scheme exposes the compiled encoding.
 func (e *Engine) Scheme() *encoding.Scheme { return e.scheme }
 
-// Decisions returns a snapshot of every accepted inference so far. The
-// returned slice is the caller's to keep: it never aliases engine
-// state, so it cannot be corrupted by (or race with) later stream
-// deliveries.
-func (e *Engine) Decisions() []Decision {
-	if len(e.decisions) == 0 {
-		return nil
-	}
-	return append([]Decision(nil), e.decisions...)
-}
-
-// NumDecisions returns the count of accepted inferences without
-// snapshotting them.
-func (e *Engine) NumDecisions() int { return len(e.decisions) }
+// NumDecisions returns the count of accepted inferences. The decisions
+// themselves reach Observer.OnDecision as they are made.
+func (e *Engine) NumDecisions() int { return e.decisions }
 
 // Deferred returns how many inferences the plausibility gate rejected.
 func (e *Engine) Deferred() int { return e.deferred }
@@ -481,7 +474,9 @@ func (e *Engine) observeWithdraw(at time.Duration, p netaddr.Prefix) {
 	if tr == burst.Started {
 		e.burstStartAt = at
 		e.cfg.Metrics.BurstsStarted.Inc()
-		e.logf("burst started at %v with %d withdrawals in window", at, e.detector.BurstCount())
+		if e.cfg.Logf != nil {
+			e.logf("burst started at %v with %d withdrawals in window", at, e.detector.BurstCount())
+		}
 		if e.cfg.Observer.OnBurstStart != nil {
 			e.cfg.Observer.OnBurstStart(at, e.detector.BurstCount())
 		}
@@ -519,8 +514,10 @@ func (e *Engine) maybeInfer(at time.Duration) {
 	if !res.Accepted {
 		e.deferred++
 		e.cfg.Metrics.InferencesDeferred.Inc()
-		e.logf("inference deferred at %v: predicted %d too large for %d received",
-			at, res.Predicted, res.Received)
+		if e.cfg.Logf != nil {
+			e.logf("inference deferred at %v: predicted %d too large for %d received",
+				at, res.Predicted, res.Received)
+		}
 		return
 	}
 	e.applyReroute(at, res, lat)
@@ -558,8 +555,10 @@ func (e *Engine) applyReroute(at time.Duration, res inference.Result, inferLat t
 		if !ans.Act {
 			e.vetoed++
 			e.cfg.Metrics.FusionVetoed.Inc()
-			e.logf("reroute vetoed at %v: links %v fs %.3f conflicts with fleet evidence fs %.3f",
-				at, res.Links, res.FS, ans.ConflictFS)
+			if e.cfg.Logf != nil {
+				e.logf("reroute vetoed at %v: links %v fs %.3f conflicts with fleet evidence fs %.3f",
+					at, res.Links, res.FS, ans.ConflictFS)
+			}
 			return
 		}
 	}
@@ -583,18 +582,21 @@ func (e *Engine) applyReroute(at time.Duration, res inference.Result, inferLat t
 		InferLatency:   inferLat,
 	}
 	d.DataplaneTime = time.Duration(d.RulesInstalled) * dataplaneCost(e.cfg.RuleUpdateCost)
-	e.decisions = append(e.decisions, d)
+	e.decisions++
 	e.cfg.Metrics.Decisions.Inc()
 	e.cfg.Metrics.RulesInstalled.Add(uint64(d.RulesInstalled))
-	e.logf("reroute at %v: links %v, %d prefixes predicted, %d rules (%v)",
-		at, res.Links, len(d.Predicted), d.RulesInstalled, d.DataplaneTime)
+	if e.cfg.Logf != nil {
+		e.logf("reroute at %v: links %v, %d prefixes predicted, %d rules (%v)",
+			at, res.Links, len(d.Predicted), d.RulesInstalled, d.DataplaneTime)
+	}
 	if e.cfg.Observer.OnDecision != nil {
 		e.cfg.Observer.OnDecision(d)
 	}
 }
 
-// exactCopy returns a copy of ps whose capacity is its length, so a
-// kept decision pins no slack.
+// exactCopy returns a copy of ps whose capacity is its length. The
+// OnDecision receiver owns a decision's Predicted, so it must not alias
+// the engine's scratch, and a receiver that keeps it pins no slack.
 func exactCopy(ps []netaddr.Prefix) []netaddr.Prefix {
 	out := make([]netaddr.Prefix, len(ps))
 	copy(out, ps)
@@ -719,12 +721,14 @@ func (e *Engine) ApplyExternal(v fusion.Verdict) {
 		External:       true,
 	}
 	d.DataplaneTime = time.Duration(d.RulesInstalled) * dataplaneCost(e.cfg.RuleUpdateCost)
-	e.decisions = append(e.decisions, d)
+	e.decisions++
 	e.cfg.Metrics.Decisions.Inc()
 	e.cfg.Metrics.FusionExternal.Inc()
 	e.cfg.Metrics.RulesInstalled.Add(uint64(d.RulesInstalled))
-	e.logf("external reroute at %v: links %v (fused fs %.3f, %d supporters), %d prefixes corroborated, %d rules",
-		v.At, v.Links, v.FS, v.Supporters, len(predicted), d.RulesInstalled)
+	if e.cfg.Logf != nil {
+		e.logf("external reroute at %v: links %v (fused fs %.3f, %d supporters), %d prefixes corroborated, %d rules",
+			v.At, v.Links, v.FS, v.Supporters, len(predicted), d.RulesInstalled)
+	}
 	if e.cfg.Observer.OnDecision != nil {
 		e.cfg.Observer.OnDecision(d)
 	}
@@ -778,7 +782,9 @@ func (e *Engine) endBurst(at time.Duration) error {
 	if d := at - e.burstStartAt; d >= 0 {
 		e.cfg.Metrics.BurstDuration.Observe(d.Seconds())
 	}
-	e.logf("burst ended at %v: %d withdrawals total", at, received)
+	if e.cfg.Logf != nil {
+		e.logf("burst ended at %v: %d withdrawals total", at, received)
+	}
 	if e.cfg.Observer.OnBurstEnd != nil {
 		e.cfg.Observer.OnBurstEnd(at, received)
 	}
@@ -799,7 +805,9 @@ func (e *Engine) endBurst(at time.Duration) error {
 		e.rerouteActive = false
 		// Re-provision tags against the converged RIB.
 		if err := e.provision(at, true); err != nil {
-			e.logf("re-provisioning failed: %v", err)
+			if e.cfg.Logf != nil {
+				e.logf("re-provisioning failed: %v", err)
+			}
 			return err
 		}
 	}
@@ -820,6 +828,9 @@ func (e *Engine) Release() {
 	}
 }
 
+// logf prefixes and forwards to cfg.Logf. Callers check cfg.Logf
+// first: a call's arguments are boxed on the heap before logf runs, so
+// an unguarded call allocates on every burst even with logging off.
 func (e *Engine) logf(format string, args ...any) {
 	if e.cfg.Logf != nil {
 		e.cfg.Logf("swift: "+format, args...)

@@ -1,6 +1,8 @@
 package swift
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,8 +72,8 @@ func TestObserverBurstLifecycle(t *testing.T) {
 	if len(decisions) == 0 {
 		t.Fatal("no decisions observed")
 	}
-	if got := e.Decisions(); len(got) != len(decisions) {
-		t.Errorf("observer saw %d decisions, log has %d", len(decisions), len(got))
+	if e.NumDecisions() != len(decisions) {
+		t.Errorf("observer saw %d decisions, engine counts %d", len(decisions), e.NumDecisions())
 	}
 	if len(ends) != 1 {
 		t.Fatalf("burst ends observed = %d, want 1", len(ends))
@@ -108,28 +110,95 @@ func TestObserverBurstLifecycle(t *testing.T) {
 	}
 }
 
-// TestDecisionsSnapshot pins the aliasing fix: mutating the returned
-// slice must not corrupt engine state or later snapshots.
-func TestDecisionsSnapshot(t *testing.T) {
-	e, net := fig1Engine(t, 1000, false)
+// TestDecisionReceiverOwnsPredicted: the OnDecision receiver owns
+// each decision's Predicted. One receiver keeps every set it is handed
+// and writes over all of them at each decision; its engine must still
+// make the same decisions and program the same FIB as an engine whose
+// receiver only reads, and the reader's kept sets must not change
+// under later decisions.
+func TestDecisionReceiverOwnsPredicted(t *testing.T) {
+	scribbled, net := fig1Engine(t, 1000, false)
+	clean, _ := fig1Engine(t, 1000, false)
 	b, err := net.ReplayLinkFailure(1, 2, topology.MakeLink(5, 6), bgpsim.DefaultTiming(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(t, e, b)
-	first := e.Decisions()
-	if len(first) == 0 {
-		t.Fatal("no decisions")
+	var kept [][]netaddr.Prefix
+	var seen []Decision
+	scribbled.cfg.Observer.OnDecision = func(d Decision) {
+		c := d
+		c.Predicted = slices.Clone(d.Predicted)
+		seen = append(seen, c)
+		kept = append(kept, d.Predicted)
+		for _, ps := range kept {
+			for i := range ps {
+				ps[i] = netaddr.Invalid
+			}
+		}
 	}
-	want := first[0].RulesInstalled
-	first[0] = Decision{} // caller scribbles over its snapshot
-	second := e.Decisions()
-	if second[0].RulesInstalled != want {
-		t.Error("mutating a Decisions() snapshot corrupted engine state")
+	var want []Decision
+	var copies [][]netaddr.Prefix
+	clean.cfg.Observer.OnDecision = func(d Decision) {
+		want = append(want, d)
+		copies = append(copies, slices.Clone(d.Predicted))
 	}
-	if e.NumDecisions() != len(second) {
-		t.Errorf("NumDecisions = %d, want %d", e.NumDecisions(), len(second))
+
+	// Stop short of the burst's end so the reroute rules are still
+	// installed when the FIBs are compared.
+	head := *b
+	head.Events = b.Events[:len(b.Events)*95/100]
+	for _, e := range []*Engine{scribbled, clean} {
+		if err := (&bgpsim.BurstSource{Bursts: []*bgpsim.Burst{&head}, FinalTick: -1}).Run(e); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if len(want) < 2 || !clean.RerouteActive() {
+		t.Fatalf("%d decisions, reroute active %v: the fixture is vacuous", len(want), clean.RerouteActive())
+	}
+	if scribbled.NumDecisions() != len(seen) {
+		t.Errorf("NumDecisions = %d, OnDecision fired %d times", scribbled.NumDecisions(), len(seen))
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("scribbling receiver saw %d decisions, reader %d", len(seen), len(want))
+	}
+	for i := range seen {
+		if !sameDecision(seen[i], want[i]) {
+			g, w := seen[i], want[i]
+			t.Errorf("decision %d after a receiver wrote over its sets: at %v, links %v, %d predicted; want at %v, links %v, %d predicted",
+				i, g.At, g.Result.Links, len(g.Predicted), w.At, w.Result.Links, len(w.Predicted))
+		}
+		if !slices.Equal(want[i].Predicted, copies[i]) {
+			t.Errorf("decision %d: a kept predicted set changed under later decisions", i)
+		}
+	}
+	for origin, n := range net.Origins {
+		for i := 0; i < n; i++ {
+			p := netaddr.PrefixFor(origin, i)
+			gn, gok := scribbled.FIB().ForwardPrefix(p)
+			wn, wok := clean.FIB().ForwardPrefix(p)
+			if gn != wn || gok != wok {
+				t.Fatalf("%v forwards to %d (%v), want %d (%v)", p, gn, gok, wn, wok)
+			}
+		}
+	}
+}
+
+// sameDecision reports whether g and w agree on every field but the
+// wall-clock InferLatency. Predicted is compared as two sets split at
+// WithdrawnStart: its order follows the RIB's load order, which
+// fig1Engine's map walk varies from engine to engine.
+func sameDecision(g, w Decision) bool {
+	g.InferLatency, w.InferLatency = 0, 0
+	g.Predicted, w.Predicted = sortedHalves(g), sortedHalves(w)
+	return reflect.DeepEqual(g, w)
+}
+
+func sortedHalves(d Decision) []netaddr.Prefix {
+	ps := slices.Clone(d.Predicted)
+	k := min(d.WithdrawnStart, len(ps))
+	slices.Sort(ps[:k])
+	slices.Sort(ps[k:])
+	return ps
 }
 
 // TestConfigPerFieldInferenceDefaults pins the defaulting fix: setting
@@ -183,6 +252,7 @@ func TestBatchedApplyMatchesPerEvent(t *testing.T) {
 	mk := func() (*Engine, *bgpsim.Network) { return fig1Engine(t, 1000, false) }
 	batched, net := mk()
 	perEvent, _ := mk()
+	dg, dw := recordDecisions(batched), recordDecisions(perEvent)
 
 	b, err := net.ReplayLinkFailure(1, 2, topology.MakeLink(5, 6), bgpsim.DefaultTiming(5))
 	if err != nil {
@@ -207,19 +277,12 @@ func TestBatchedApplyMatchesPerEvent(t *testing.T) {
 		}
 	}
 
-	dg, dw := batched.Decisions(), perEvent.Decisions()
-	if len(dg) == 0 || len(dg) != len(dw) {
-		t.Fatalf("batched made %d decisions, per-event %d", len(dg), len(dw))
+	if len(*dg) == 0 || len(*dg) != len(*dw) {
+		t.Fatalf("batched made %d decisions, per-event %d", len(*dg), len(*dw))
 	}
-	for i := range dw {
-		g, w := dg[i], dw[i]
-		if g.At != w.At || g.RulesInstalled != w.RulesInstalled || len(g.Predicted) != len(w.Predicted) {
+	for i := range *dw {
+		if g, w := (*dg)[i], (*dw)[i]; !sameDecision(g, w) {
 			t.Errorf("decision %d: batched %+v vs per-event %+v", i, g, w)
-		}
-		for j := range w.Result.Links {
-			if g.Result.Links[j] != w.Result.Links[j] {
-				t.Errorf("decision %d link %d: %v vs %v", i, j, g.Result.Links[j], w.Result.Links[j])
-			}
 		}
 	}
 }

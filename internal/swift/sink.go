@@ -63,13 +63,6 @@ func (s *SessionSink) Provision(event.PeerKey) error {
 	return s.e.Provision()
 }
 
-// Decisions snapshots the engine's decision log under the sink's lock.
-func (s *SessionSink) Decisions() []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.Decisions()
-}
-
 // Do runs fn with the engine locked — the escape hatch for inspection
 // while sources are live. fn must not retain the engine.
 func (s *SessionSink) Do(fn func(*Engine)) {

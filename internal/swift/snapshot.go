@@ -25,7 +25,7 @@ import (
 // and its withdrawn-path pins (a restored engine starts a burst's
 // evidence fresh — the snapshot contract is steady state, and a
 // mid-burst restore degrades to re-accumulating W(t) from the ongoing
-// stream), the decision log, and the deferred/vetoed telemetry
+// stream), the decision count, and the deferred/vetoed telemetry
 // counters.
 type EngineState struct {
 	Table rib.TableImage
@@ -97,7 +97,7 @@ func (e *Engine) ExportState() EngineState {
 // to discard the link-dirty noise the replay generated; scheme, plan
 // and FIB load from their images without recompiling anything.
 func (e *Engine) RestoreState(st EngineState) error {
-	if e.table.Len() != 0 || len(e.alts) != 0 || e.haveProvision || len(e.decisions) != 0 {
+	if e.table.Len() != 0 || len(e.alts) != 0 || e.haveProvision || e.decisions != 0 {
 		return fmt.Errorf("swift: restore into a used engine")
 	}
 	if err := e.table.RestoreRoutes(st.Table); err != nil {

@@ -26,7 +26,7 @@
 //		swift.AnnounceEvent(at, prefix, newPath),
 //	})
 //	// inspect
-//	engine.Decisions()              // accepted inferences + installed rules
+//	engine.NumDecisions()           // accepted inferences, each handed to OnDecision
 //	engine.FIB().ForwardPrefix(p)   // where a packet goes right now
 //
 // Engine and Fleet both satisfy Sink, so single-session and
@@ -166,8 +166,6 @@ type (
 	FleetPeer = controller.FleetPeer
 	// FleetMetrics is an aggregate snapshot across the pool.
 	FleetMetrics = controller.FleetMetrics
-	// PeerDecision is one engine decision attributed to its peer.
-	PeerDecision = controller.PeerDecision
 	// BMPStation accepts BMP router connections and feeds a Sink.
 	BMPStation = bmp.Station
 	// BMPStationConfig parameterizes a BMPStation.

@@ -19,6 +19,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	cfg.Encoding.MinPrefixes = 50
 	cfg.Burst = swift.BurstConfig{StartThreshold: 50, StopThreshold: 9}
 
+	var ds []swift.Decision
+	cfg.Observer.OnDecision = func(d swift.Decision) { ds = append(ds, d) }
 	e := swift.New(cfg)
 	// 500 prefixes via 2->5->6, alternates via 3.
 	var prefixes []swift.Prefix
@@ -47,7 +49,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := e.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	ds := e.Decisions()
 	if len(ds) == 0 {
 		t.Fatal("no inference decisions")
 	}
