@@ -202,28 +202,30 @@ func (d *daemon) metricsC() (<-chan time.Time, func()) {
 // snapPath is the warm-restart snapshot inside -snapshot-dir.
 func (d *daemon) snapPath() string { return filepath.Join(d.snapDir, "fleet.snap") }
 
-// checkpoint writes the fleet snapshot with temp+rename so the restore
-// path never sees a torn file; SIGUSR1, POST /snapshot and shutdown all
+// checkpoint writes the fleet snapshot to a temp file, syncs it to disk
+// and renames it over the last one, so neither a kill nor a power loss
+// mid-checkpoint leaves a torn fleet.snap: a failed checkpoint leaves
+// the previous one as it was. SIGUSR1, POST /snapshot and shutdown all
 // funnel through it. It needs -snapshot-dir.
 func (d *daemon) checkpoint() error {
 	tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
 	if err != nil {
 		return err
 	}
-	if err := d.fleet.Snapshot(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = d.fleet.Snapshot(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), d.snapPath()); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), d.snapPath())
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // checkpointOn checkpoints the fleet if sig is SIGUSR1, which only
@@ -270,6 +272,14 @@ func (d *daemon) newFleet(localAS uint32, alternates []mrt.RIBRecord, altAS uint
 		return controller.NewFleet(cfg), cold
 	}
 	snapPath := d.snapPath()
+	// A kill mid-checkpoint leaves its temp file behind; fleet.snap is
+	// still the last complete checkpoint.
+	stray, _ := filepath.Glob(snapPath + ".tmp*")
+	for _, name := range stray {
+		if err := os.Remove(name); err != nil {
+			logger.Warnf("removing stray checkpoint %s: %v", name, err)
+		}
+	}
 	file, err := os.Open(snapPath)
 	if os.IsNotExist(err) {
 		return controller.NewFleet(cfg), cold

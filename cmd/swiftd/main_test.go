@@ -210,3 +210,123 @@ func TestEBGPWarmRestart(t *testing.T) {
 	}
 	second.waitPeer(t, before.RIBPrefixes-1)
 }
+
+// checkpointed writes dir/fleet.snap from a one-peer fleet provisioned
+// over a small table, through the daemon's own checkpoint, and returns
+// the daemon (its fleet still open) and the file's bytes.
+func checkpointed(t *testing.T, dir string) (*daemon, []byte) {
+	t.Helper()
+	d := &daemon{
+		logger:   logging.New(io.Discard, logging.Info),
+		registry: telemetry.NewRegistry(),
+		ring:     telemetry.NewBurstRing(16),
+		snapDir:  dir,
+	}
+	d.fleet, _ = d.newFleet(65001, nil, 0)
+	p := d.fleet.Peer(controller.PeerKey{AS: 65010, BGPID: 0x0a000002})
+	for i := 0; i < 50; i++ {
+		p.LearnPrimary(netaddr.PrefixFor(8, i), []uint32{65010, 3356, 15169})
+	}
+	if err := p.Provision(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "fleet.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, snap
+}
+
+// takesSession dials the daemon as its eBGP peer, sends a table and
+// End-of-RIB, and waits for the peer to be provisioned with it.
+func (b *bgpDaemon) takesSession(t *testing.T) {
+	t.Helper()
+	peer := b.dial(t)
+	defer peer.Close()
+	nlri := make([]netaddr.Prefix, 20)
+	for i := range nlri {
+		nlri[i] = netaddr.PrefixFor(9, i)
+	}
+	attrs := bgp.Attrs{ASPath: []uint32{65010, 174, 13335}, HasNextHop: true, NextHop: 0x0a000002}
+	if err := peer.Send(&bgp.Update{Attrs: attrs, NLRI: nlri}, &bgp.Update{}); err != nil {
+		t.Fatal(err)
+	}
+	b.waitPeer(t, len(nlri))
+}
+
+// TestColdStartOnBadSnapshot: a fleet.snap that is truncated,
+// bit-flipped or of a future format version is refused — the daemon
+// reports a cold start on /healthz and takes its session as if there
+// were no snapshot.
+func TestColdStartOnBadSnapshot(t *testing.T) {
+	d, good := checkpointed(t, t.TempDir())
+	d.fleet.Close()
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x10
+	future := append([]byte(nil), good...)
+	future[8] = 2 // the u32 version after the 8-byte magic
+	for _, tc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"bit-flipped", flipped},
+		{"version 2", future},
+	} {
+		name, snap := tc.name, tc.snap
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "fleet.snap"), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b := startBGPDaemon(t, dir)
+			defer b.stop(t)
+			if h := string(b.get(t, "/healthz")); !strings.Contains(h, "cold start") {
+				t.Fatalf("/healthz = %q, want a cold start\n%s", h, b.logs)
+			}
+			b.takesSession(t)
+		})
+	}
+}
+
+// TestRestartAfterKillMidCheckpoint: a kill mid-checkpoint leaves a
+// partial fleet.snap.tmp* beside the last good fleet.snap. The next
+// start comes back warm from fleet.snap and removes the stray file.
+func TestRestartAfterKillMidCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	d, good := checkpointed(t, dir)
+	d.fleet.Close()
+	stray := filepath.Join(dir, "fleet.snap.tmp4242")
+	if err := os.WriteFile(stray, good[:len(good)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := startBGPDaemon(t, dir)
+	defer b.stop(t)
+	if h := string(b.get(t, "/healthz")); !strings.Contains(h, "restore: warm, 1 peers") {
+		t.Fatalf("/healthz = %q, want a warm restore of 1 peer\n%s", h, b.logs)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("stray checkpoint %s still there (%v)", stray, err)
+	}
+}
+
+// TestFailedCheckpointKeepsPrevious: a checkpoint that fails — here the
+// fleet is closed, so its snapshot refuses — leaves the previous
+// fleet.snap byte-identical and no temp file behind.
+func TestFailedCheckpointKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	d, good := checkpointed(t, dir)
+	d.fleet.Close()
+	if err := d.checkpoint(); err == nil {
+		t.Fatal("checkpoint of a closed fleet succeeded")
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "fleet.snap")); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("fleet.snap changed by a failed checkpoint (%d bytes, was %d; %v)", len(got), len(good), err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "fleet.snap.tmp*")); len(left) != 0 {
+		t.Fatalf("failed checkpoint left %v", left)
+	}
+}

@@ -138,3 +138,23 @@ func TestDetectorUsesHistoryThreshold(t *testing.T) {
 		t.Errorf("history-floored threshold should trigger at 20, got %v", tr)
 	}
 }
+
+// TestHistoryRestoreBoundsValues: the tree is sized from the largest
+// restored value, so a value past maxHistoryValue is refused with an
+// error instead of allocating a tree that size (1<<30) or never ending
+// the doubling loop that sizes it (1<<62). The bound itself restores.
+func TestHistoryRestoreBoundsValues(t *testing.T) {
+	for _, v := range []int{maxHistoryValue + 1, 1 << 30, 1 << 62} {
+		var h History
+		if err := h.Restore(HistoryImage{Counts: []HistoryCount{{Value: v, Count: 1}}}); err == nil {
+			t.Errorf("restore of window count %d accepted", v)
+		}
+	}
+	var h History
+	if err := h.Restore(HistoryImage{Counts: []HistoryCount{{Value: 3, Count: 2}, {Value: maxHistoryValue, Count: 1}}}); err != nil {
+		t.Fatalf("restore at the bound: %v", err)
+	}
+	if got := h.Percentile(100); got != maxHistoryValue {
+		t.Errorf("restored p100 = %d, want %d", got, maxHistoryValue)
+	}
+}

@@ -23,6 +23,12 @@ type HistoryImage struct {
 	Counts []HistoryCount
 }
 
+// maxHistoryValue bounds the window counts a restored history may hold.
+// The tree is sized from the largest one, so without a bound an image
+// from outside could demand any amount of memory. 1<<22 withdrawals in
+// one window is four times a full IPv4 table, a 32 MiB tree.
+const maxHistoryValue = 1 << 22
+
 // Export captures the recorded window-count distribution.
 func (h *History) Export() HistoryImage {
 	var img HistoryImage
@@ -46,7 +52,7 @@ func (h *History) Restore(img HistoryImage) error {
 	}
 	size := 256
 	for i, c := range img.Counts {
-		if c.Value < 0 || c.Count <= 0 {
+		if c.Value < 0 || c.Value > maxHistoryValue || c.Count <= 0 {
 			return fmt.Errorf("burst: restore: invalid history pair (%d, %d)", c.Value, c.Count)
 		}
 		if i > 0 && c.Value <= img.Counts[i-1].Value {

@@ -39,7 +39,9 @@ type flatEvent struct {
 // sequences, forgetting batch boundaries. It is also a Provisioner
 // recording each peer's table transfer; a peer named in ready starts
 // provisioned, so its stream is live from the first UPDATE. Ticks
-// follow wall-clock quiet, not the UPDATEs, so it leaves them out.
+// follow wall-clock quiet, not the UPDATEs, so it leaves them out — of
+// the sequences and of the batch count, which counts only batches that
+// carry a prefix event.
 type recorder struct {
 	mu      sync.Mutex // the station's settle scanner calls from its own goroutine
 	byPeer  map[event.PeerKey][]flatEvent
@@ -65,11 +67,15 @@ func newRecorder(ready ...event.PeerKey) *recorder {
 func (r *recorder) Apply(b event.Batch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.batches++
+	prefixed := false
 	for _, ev := range b {
 		if ev.Kind != event.KindTick {
+			prefixed = true
 			r.byPeer[ev.Peer] = append(r.byPeer[ev.Peer], flatEvent{kind: ev.Kind, at: ev.At, prefix: ev.Prefix, path: fmt.Sprint(ev.Path)})
 		}
+	}
+	if prefixed {
+		r.batches++
 	}
 	return nil
 }

@@ -76,7 +76,9 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 // against the shared pool the image was taken from.
 //
 // On error the partially built fleet is closed and the error returned;
-// the caller falls back to a cold start.
+// the caller falls back to a cold start. A stream the snapshot reader
+// or a layer's restore validation rejects fails with an error wrapping
+// snapshot.ErrCorrupt (or snapshot.ErrVersion).
 func RestoreFleet(r io.Reader, cfg FleetConfig) (*Fleet, error) {
 	img, err := snapshot.Read(r)
 	if err != nil {
@@ -92,7 +94,7 @@ func RestoreFleet(r io.Reader, cfg FleetConfig) (*Fleet, error) {
 
 func (f *Fleet) restore(img *snapshot.FleetImage) error {
 	if err := f.pool.Restore(img.Pool); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	for i := range img.Peers {
 		if err := f.restorePeer(&img.Peers[i]); err != nil {
@@ -124,7 +126,7 @@ func (f *Fleet) restorePeer(pi *snapshot.PeerImage) error {
 	cfg.Observer = f.wireObserver(p, cfg.Observer)
 	p.engine = swiftengine.New(cfg)
 	if err := p.engine.RestoreState(pi.State); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	if pi.State.RerouteActive {
 		// Seed the aggregate gauge the observer normally maintains.

@@ -169,6 +169,42 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// midBurst is the mid-burst fixture: a one-peer fleet over n prefixes
+// whose withdrawal prologue — the first 3000/4096 of them, 1 ms apart,
+// as fleetBurstCycle begins — has opened a burst and installed reroute
+// rules. At n = 4096 its config is snapshotTestConfig's; smaller n
+// scales the thresholds down with the prologue. It returns the fleet,
+// the config a restore must use, the peer and the prefixes.
+func midBurst(t testing.TB, n int) (*Fleet, FleetConfig, PeerKey, []netaddr.Prefix) {
+	prefixes := make([]netaddr.Prefix, n)
+	for i := range prefixes {
+		prefixes[i] = netaddr.PrefixFor(8, i)
+	}
+	cfg := snapshotTestConfig(t, prefixes)
+	engine := cfg.Engine
+	cfg.Engine = func(key PeerKey) swiftengine.Config {
+		c := engine(key)
+		c.Inference.TriggerEvery = c.Inference.TriggerEvery * n / 4096
+		c.Burst.StartThreshold = c.Burst.StartThreshold * n / 4096
+		c.Encoding.MinPrefixes = c.Encoding.MinPrefixes * n / 4096
+		return c
+	}
+	live := NewFleet(cfg)
+	key := PeerKey{AS: 2, BGPID: 7}
+	head := make(event.Batch, 3000*n/4096)
+	for i := range head {
+		head[i] = event.Withdraw(time.Duration(i+1)*time.Millisecond, prefixes[i]).WithPeer(key)
+	}
+	if !live.Peer(key).Enqueue(head) {
+		t.Fatal("enqueue refused")
+	}
+	live.Sync()
+	if v := viewOf(live.Peer(key)); !v.reroute || v.decided == 0 {
+		t.Fatalf("withdrawal prologue did not trigger a reroute (decisions=%d, active=%v)", v.decided, v.reroute)
+	}
+	return live, cfg, key, prefixes
+}
+
 // TestFleetSnapshotMidBurst pins the mid-burst restore contract: a
 // fleet checkpointed with a burst open and reroute rules installed
 // restores with the identical FIB (protection stays up across the
@@ -179,29 +215,13 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 // *new* trigger fires from pre-snapshot evidence, everything else
 // matches.
 func TestFleetSnapshotMidBurst(t *testing.T) {
-	prefixes := make([]netaddr.Prefix, 4096)
-	for i := range prefixes {
-		prefixes[i] = netaddr.PrefixFor(8, i)
-	}
-	live := NewFleet(snapshotTestConfig(t, prefixes))
+	live, cfg, key, prefixes := midBurst(t, 4096)
 	defer live.Close()
-
-	key := PeerKey{AS: 2, BGPID: 7}
-	cycle := fleetBurstCycle(key, prefixes)
-	const wd = 3000 // fleetBurstCycle's withdrawal prologue
-	head := append(event.Batch(nil), cycle[:wd]...)
-	tail := cycle[wd:]
-	if !live.Peer(key).Enqueue(head) {
-		t.Fatal("enqueue refused")
-	}
-	live.Sync()
+	tail := fleetBurstCycle(key, prefixes)[3000:]
 	lv := viewOf(live.Peer(key))
-	if !lv.reroute || lv.decided == 0 {
-		t.Fatalf("withdrawal prologue did not trigger a reroute (decisions=%d, active=%v)", lv.decided, lv.reroute)
-	}
 
 	snap := snapshotBytes(t, live)
-	restored, err := RestoreFleet(bytes.NewReader(snap), snapshotTestConfig(t, prefixes))
+	restored, err := RestoreFleet(bytes.NewReader(snap), cfg)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

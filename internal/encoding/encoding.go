@@ -189,26 +189,40 @@ func Build(cfg Config, table *rib.Table, plan *reroute.Plan) (*Scheme, error) {
 	return s, nil
 }
 
-// Rebuild is Build into s, reusing the tag slice, dictionaries and
-// scratch of its previous compile, so it overwrites the tags an earlier
-// Tags or Export returned. On error s must not be used until a later
-// Rebuild succeeds.
-func (s *Scheme) Rebuild(cfg Config, table *rib.Table, plan *reroute.Plan) error {
-	if cfg.TagBits <= 0 || cfg.TagBits > 64 {
-		return fmt.Errorf("encoding: tag width %d out of range", cfg.TagBits)
-	}
-	if cfg.MaxDepth < 2 {
-		return fmt.Errorf("encoding: MaxDepth %d too small", cfg.MaxDepth)
+// check reports whether cfg lays out a tag: every width in range, so
+// no field shift is negative or past the tag, and the next-hop groups
+// within the bits the path part leaves. Build and RestoreScheme both
+// run it before they place a field.
+func (cfg Config) check() error {
+	switch {
+	case cfg.TagBits <= 0 || cfg.TagBits > 64:
+		return fmt.Errorf("tag width %d out of range [1,64]", cfg.TagBits)
+	case cfg.PathBits < 0 || cfg.PathBits > cfg.TagBits:
+		return fmt.Errorf("path bits %d out of range [0,%d]", cfg.PathBits, cfg.TagBits)
+	case cfg.NHBits <= 0 || cfg.NHBits > cfg.TagBits:
+		return fmt.Errorf("next-hop bits %d out of range [1,%d]", cfg.NHBits, cfg.TagBits)
+	case cfg.MaxDepth < 2 || cfg.MaxDepth > cfg.TagBits:
+		return fmt.Errorf("MaxDepth %d out of range [2,%d]", cfg.MaxDepth, cfg.TagBits)
 	}
 	// Primary + one backup group per protected depth. Links are encoded
 	// up to MaxDepth, but the deepest position is match-only: backups
 	// cover depths 1..MaxDepth-1, which is exactly the paper's 48-bit
 	// partition (18 path bits + 5 groups x 6 bits = 48).
 	nhGroups := 1 + (cfg.MaxDepth - 1)
-	nhSpace := cfg.TagBits - cfg.PathBits
-	if cfg.NHBits*nhGroups > nhSpace {
-		return fmt.Errorf("encoding: %d next-hop groups of %d bits exceed %d available bits",
+	if nhSpace := cfg.TagBits - cfg.PathBits; cfg.NHBits*nhGroups > nhSpace {
+		return fmt.Errorf("%d next-hop groups of %d bits exceed %d available bits",
 			nhGroups, cfg.NHBits, nhSpace)
+	}
+	return nil
+}
+
+// Rebuild is Build into s, reusing the tag slice, dictionaries and
+// scratch of its previous compile, so it overwrites the tags an earlier
+// Tags or Export returned. On error s must not be used until a later
+// Rebuild succeeds.
+func (s *Scheme) Rebuild(cfg Config, table *rib.Table, plan *reroute.Plan) error {
+	if err := cfg.check(); err != nil {
+		return fmt.Errorf("encoding: %w", err)
 	}
 	if plan == nil {
 		plan = reroute.Compute(table.LocalAS(), table, nil, nil, cfg.MaxDepth)

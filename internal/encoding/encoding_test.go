@@ -58,6 +58,41 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestRestoreSchemeRejectsWidths: a scheme image carries its own config,
+// so every width in it is checked before the layout shifts by it. Each
+// case is a valid image with one field out of range. NHBits -1 used to
+// pass the bit budget and panic on a negative shift; NHBits 1<<61
+// overflowed the budget's product and restored a scheme whose fields
+// overlap.
+func TestRestoreSchemeRejectsWidths(t *testing.T) {
+	good := SchemeImage{Cfg: Default(), LinkDicts: make([][]LinkValue, Default().MaxDepth-1)}
+	if _, err := RestoreScheme(good); err != nil {
+		t.Fatalf("valid image refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"TagBits 0", func(c *Config) { c.TagBits = 0 }},
+		{"TagBits 65", func(c *Config) { c.TagBits = 65 }},
+		{"PathBits -1", func(c *Config) { c.PathBits = -1 }},
+		{"PathBits past TagBits", func(c *Config) { c.PathBits = c.TagBits + 1 }},
+		{"NHBits -1", func(c *Config) { c.NHBits = -1 }},
+		{"NHBits 0", func(c *Config) { c.NHBits = 0 }},
+		{"NHBits 1<<61", func(c *Config) { c.NHBits = 1 << 61 }},
+		{"MaxDepth 1", func(c *Config) { c.MaxDepth = 1 }},
+	} {
+		bad := good
+		tc.edit(&bad.Cfg)
+		if d := bad.Cfg.MaxDepth; d > 1 {
+			bad.LinkDicts = make([][]LinkValue, d-1)
+		}
+		if _, err := RestoreScheme(bad); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 // TestBuildAllocsFlatInLinks: the per-link load counters live in one
 // flat slice, so Build's allocation count grows with the number of
 // distinct links only through slice and map doubling, not once per

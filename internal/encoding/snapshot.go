@@ -68,19 +68,12 @@ func (s *Scheme) Export() SchemeImage {
 // bit-identical rules and tags.
 func RestoreScheme(img SchemeImage) (*Scheme, error) {
 	cfg := img.Cfg
-	if cfg.TagBits <= 0 || cfg.TagBits > 64 {
-		return nil, fmt.Errorf("encoding: restore: tag width %d out of range", cfg.TagBits)
-	}
-	if cfg.MaxDepth < 2 {
-		return nil, fmt.Errorf("encoding: restore: MaxDepth %d too small", cfg.MaxDepth)
+	if err := cfg.check(); err != nil {
+		return nil, fmt.Errorf("encoding: restore: %w", err)
 	}
 	if len(img.LinkDicts) != cfg.MaxDepth-1 {
 		return nil, fmt.Errorf("encoding: restore: %d link dictionaries for MaxDepth %d",
 			len(img.LinkDicts), cfg.MaxDepth)
-	}
-	nhGroups := 1 + (cfg.MaxDepth - 1)
-	if cfg.NHBits*nhGroups > cfg.TagBits-cfg.PathBits {
-		return nil, fmt.Errorf("encoding: restore: next-hop groups exceed available bits")
 	}
 	s := &Scheme{
 		cfg:     cfg,

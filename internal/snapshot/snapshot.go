@@ -18,6 +18,11 @@
 // the same bytes, and the images export in canonical order, so a
 // restored fleet re-snapshots byte-identically.
 //
+// Each section's payload is described once, field by field in wire
+// order, by a walk (walkPool, walkPeer) over a codec that either sizes,
+// encodes or decodes it; there is no second copy of the format to keep
+// in step.
+//
 // Writer streams the format a section at a time — the pool, then one
 // peer per call — so a fleet is checkpointed without ever holding a
 // whole FleetImage; Write is the same writer run over one. Read
@@ -25,19 +30,16 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"slices"
-	"time"
 
-	"swift/internal/burst"
 	"swift/internal/encoding"
 	"swift/internal/event"
-	"swift/internal/netaddr"
-	"swift/internal/reroute"
 	"swift/internal/rib"
 	"swift/internal/swift"
 	"swift/internal/topology"
@@ -55,6 +57,21 @@ const (
 	secPeer uint32 = 2
 	secEnd  uint32 = 0xffffffff
 )
+
+var (
+	// ErrCorrupt marks a stream that is not a well-formed checkpoint:
+	// bad magic or framing, a checksum mismatch, truncation, a count
+	// past the bytes left, trailing bytes, or — wrapped by the fleet
+	// restorer — state that a layer's own restore validation rejects.
+	ErrCorrupt = errors.New("snapshot: corrupt")
+	// ErrVersion marks a checkpoint in a format version this build does
+	// not read.
+	ErrVersion = errors.New("snapshot: unsupported version")
+)
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}
 
 // PeerImage is one peer engine keyed by its BGP session identity.
 type PeerImage struct {
@@ -74,17 +91,17 @@ type FleetImage struct {
 // than one peer's image: NewWriter writes the header and the pool
 // section, each Peer call one peer section, and Close the end section
 // with the checksum. Every section is encoded into the same buffer,
-// sized up front from the section's exact length and rewound once the
-// section is written, so the encoder's memory is the largest section,
-// not the file.
+// sized up front by the walk's size pass and rewound once the section
+// is written, so the encoder's memory is the largest section, not the
+// file.
 //
 // The first error — from w, or a peer out of order — is latched: every
 // later call returns it.
 type Writer struct {
 	w     io.Writer
 	crc   hash.Hash32
-	e     enc
-	start int // offset of the open section's header in e.b
+	c     codec // encoding into c.b, which holds what is not yet written out
+	size  codec // sizing the next section
 	last  event.PeerKey
 	peers int
 	err   error
@@ -95,13 +112,9 @@ var errWriterClosed = errors.New("snapshot: writer closed")
 // NewWriter writes the header and pool to w and returns the writer the
 // peer sections follow through.
 func NewWriter(w io.Writer, pool *rib.PoolImage) (*Writer, error) {
-	sw := &Writer{w: w, crc: crc32.NewIEEE()}
-	sw.e.b = make([]byte, 0, len(magic)+4+12+poolSize(pool))
-	sw.e.b = append(sw.e.b, magic...)
-	sw.e.u32(Version)
-	sw.open(secPool)
-	encodePool(&sw.e, pool)
-	if err := sw.flush(); err != nil {
+	sw := &Writer{w: w, crc: crc32.NewIEEE(), c: codec{mode: modeEncode}}
+	sw.c.b = binary.LittleEndian.AppendUint32([]byte(magic), Version)
+	if err := section(sw, secPool, pool, walkPool); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -119,12 +132,7 @@ func (sw *Writer) Peer(p *PeerImage) error {
 	}
 	sw.last = p.Key
 	sw.peers++
-	if need := 12 + peerSize(p); cap(sw.e.b) < need {
-		sw.e.b = make([]byte, 0, need)
-	}
-	sw.open(secPeer)
-	encodePeer(&sw.e, p)
-	return sw.flush()
+	return section(sw, secPeer, p, walkPeer)
 }
 
 // Close writes the end section and the checksum. It does not close the
@@ -133,31 +141,39 @@ func (sw *Writer) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	sw.e.u32(secEnd)
-	sw.e.u64(4)
-	sw.crc.Write(sw.e.b)
+	b := binary.LittleEndian.AppendUint32(sw.c.b, secEnd)
+	b = binary.LittleEndian.AppendUint64(b, 4)
+	sw.crc.Write(b)
 	// The checksum itself is outside the hashed span.
-	sw.e.u32(sw.crc.Sum32())
-	_, err := sw.w.Write(sw.e.b)
-	sw.e.b, sw.err = nil, errWriterClosed
+	b = binary.LittleEndian.AppendUint32(b, sw.crc.Sum32())
+	_, err := sw.w.Write(b)
+	sw.c.b, sw.err = nil, errWriterClosed
 	return err
 }
 
-// open starts a section in the encoder buffer: its header goes in with
-// a zero length that flush patches once the payload is encoded.
-func (sw *Writer) open(kind uint32) {
-	sw.start = len(sw.e.b)
-	sw.e.u32(kind)
-	sw.e.u64(0)
-}
-
-// flush completes the open section, writes out and hashes everything
-// buffered, and rewinds the buffer for the next section.
-func (sw *Writer) flush() error {
-	putU64(sw.e.b[sw.start+4:], uint64(len(sw.e.b)-sw.start-12))
-	sw.crc.Write(sw.e.b)
-	_, sw.err = sw.w.Write(sw.e.b)
-	sw.e.b = sw.e.b[:0]
+// section appends one section of the given kind to the buffer — sized
+// first by the walk's size pass, so it grows at most once and the
+// encode pass fills it in place — then writes out and hashes everything
+// buffered, and rewinds the buffer.
+func section[T any](sw *Writer, kind uint32, v *T, walk func(*codec, *T)) error {
+	sw.size = codec{mode: modeSize}
+	walk(&sw.size, v)
+	n, b, start := sw.size.n, sw.c.b, len(sw.c.b)
+	if need := start + 12 + n; cap(b) < need {
+		b = append(make([]byte, 0, need), b...)
+	}
+	b = b[:start+12+n]
+	binary.LittleEndian.PutUint32(b[start:], kind)
+	binary.LittleEndian.PutUint64(b[start+4:], uint64(n))
+	sw.c.b, sw.c.n = b, start+12
+	walk(&sw.c, v)
+	if sw.c.n != len(b) {
+		sw.err = fmt.Errorf("snapshot: section %d sized at %d bytes, encoded to %d", kind, n, sw.c.n-start-12)
+		return sw.err
+	}
+	sw.crc.Write(b)
+	_, sw.err = sw.w.Write(b)
+	sw.c.b = b[:0]
 	return sw.err
 }
 
@@ -176,84 +192,89 @@ func Write(w io.Writer, img *FleetImage) error {
 }
 
 // Read parses one fleet image from r, verifying the trailing checksum.
+// A malformed stream fails with an error wrapping ErrCorrupt, one of
+// another format version with ErrVersion.
 func Read(r io.Reader) (*FleetImage, error) {
 	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
 	hdr := make([]byte, len(magic)+4)
 	if _, err := io.ReadFull(cr, hdr); err != nil {
-		return nil, fmt.Errorf("snapshot: header: %w", err)
+		return nil, readErr("header", err)
 	}
 	if string(hdr[:len(magic)]) != magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", hdr[:len(magic)])
+		return nil, corrupt("bad magic %q", hdr[:len(magic)])
 	}
-	if v := leU32(hdr[len(magic):]); v != Version {
-		return nil, fmt.Errorf("snapshot: version %d, want %d", v, Version)
+	if v := binary.LittleEndian.Uint32(hdr[len(magic):]); v != Version {
+		return nil, fmt.Errorf("%w %d, want %d", ErrVersion, v, Version)
 	}
 	img := &FleetImage{}
 	poolSeen := false
 	sec := make([]byte, 12)
-	// One payload buffer serves every section: the decoders copy out
-	// whatever they keep.
+	// One payload buffer serves every section: the walk copies out
+	// whatever it keeps.
 	var payload []byte
 	for {
 		if _, err := io.ReadFull(cr, sec); err != nil {
-			return nil, fmt.Errorf("snapshot: section header: %w", err)
+			return nil, readErr("section header", err)
 		}
-		kind, n := leU32(sec), leU64(sec[4:])
+		kind, n := binary.LittleEndian.Uint32(sec), binary.LittleEndian.Uint64(sec[4:])
 		if kind == secEnd {
 			if n != 4 {
-				return nil, fmt.Errorf("snapshot: end section length %d", n)
+				return nil, corrupt("end section length %d", n)
 			}
 			want := cr.crc.Sum32()
 			var sum [4]byte
 			if _, err := io.ReadFull(cr.r, sum[:]); err != nil {
-				return nil, fmt.Errorf("snapshot: checksum: %w", err)
+				return nil, readErr("checksum", err)
 			}
-			if got := leU32(sum[:]); got != want {
-				return nil, fmt.Errorf("snapshot: checksum mismatch: stored %#x, computed %#x", got, want)
+			if got := binary.LittleEndian.Uint32(sum[:]); got != want {
+				return nil, corrupt("checksum mismatch: stored %#x, computed %#x", got, want)
 			}
 			break
 		}
 		if n > 1<<34 {
-			return nil, fmt.Errorf("snapshot: section %d length %d implausible", kind, n)
+			return nil, corrupt("section %d length %d implausible", kind, n)
 		}
 		var err error
 		if payload, err = readPayload(cr, payload, int(n)); err != nil {
-			return nil, fmt.Errorf("snapshot: section %d payload: %w", kind, err)
+			return nil, readErr(fmt.Sprintf("section %d payload", kind), err)
 		}
-		d := &dec{b: payload}
+		c := &codec{mode: modeDecode, b: payload}
 		switch kind {
 		case secPool:
 			if poolSeen {
-				return nil, fmt.Errorf("snapshot: duplicate pool section")
+				return nil, corrupt("duplicate pool section")
 			}
 			poolSeen = true
-			decodePool(d, &img.Pool)
+			walkPool(c, &img.Pool)
 		case secPeer:
 			if !poolSeen {
-				return nil, fmt.Errorf("snapshot: peer section before pool section")
+				return nil, corrupt("peer section before pool section")
 			}
-			var p PeerImage
-			decodePeer(d, &p)
-			if d.err == nil {
-				if k := len(img.Peers); k > 0 && !keyLess(img.Peers[k-1].Key, p.Key) {
-					return nil, fmt.Errorf("snapshot: peers not ascending at %s", p.Key)
-				}
-				img.Peers = append(img.Peers, p)
-			}
+			img.Peers = append(img.Peers, PeerImage{})
+			walkPeer(c, &img.Peers[len(img.Peers)-1])
 		default:
-			return nil, fmt.Errorf("snapshot: unknown section kind %d", kind)
+			return nil, corrupt("unknown section kind %d", kind)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if err := c.failure(); err != nil {
+			return nil, fmt.Errorf("%w (section %d)", err, kind)
 		}
-		if d.off != len(d.b) {
-			return nil, fmt.Errorf("snapshot: section %d has %d trailing bytes", kind, len(d.b)-d.off)
+		if k := len(img.Peers); kind == secPeer && k > 1 && !keyLess(img.Peers[k-2].Key, img.Peers[k-1].Key) {
+			return nil, corrupt("peers not ascending at %s", img.Peers[k-1].Key)
 		}
 	}
 	if !poolSeen {
-		return nil, fmt.Errorf("snapshot: no pool section")
+		return nil, corrupt("no pool section")
 	}
 	return img, nil
+}
+
+// readErr reports a failed read of part of the stream: one that ends
+// early is truncated, so corrupt; any other failure is the reader's.
+func readErr(part string, err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return corrupt("%s: %w", part, err)
+	}
+	return fmt.Errorf("snapshot: %s: %w", part, err)
 }
 
 // readPayload reads an n-byte section payload into buf, reusing its
@@ -285,486 +306,312 @@ func keyLess(a, b event.PeerKey) bool {
 	return a.BGPID < b.BGPID
 }
 
-// --- section encodings -------------------------------------------------
+// --- the format: one walk per section -----------------------------------
 
-func encodePool(e *enc, p *rib.PoolImage) {
-	e.u64(uint64(len(p.Links)))
-	for _, l := range p.Links {
-		e.link(l)
+func walkPool(c *codec, p *rib.PoolImage) {
+	for i := range list(c, &p.Links, 8) {
+		link(c, &p.Links[i])
 	}
-	e.u64(uint64(len(p.Paths)))
-	for _, pi := range p.Paths {
-		e.u32(uint32(pi.ID))
-		e.u32s(pi.Path)
+	for i := range rows(c, &p.Paths, 12) {
+		u32(c, &p.Paths[i].ID)
+		u32s(c, &p.Paths[i].Path)
 	}
 }
 
-// poolSize is the exact payload length encodePool writes for p.
-func poolSize(p *rib.PoolImage) int {
-	n := 8 + 8*len(p.Links) + 8
-	for _, pi := range p.Paths {
-		n += 4 + 8 + 4*len(pi.Path)
-	}
-	return n
-}
-
-func decodePool(d *dec, p *rib.PoolImage) {
-	n := d.count(8)
-	p.Links = make([]topology.Link, n)
-	for i := range p.Links {
-		p.Links[i] = d.link()
-	}
-	n = d.count(12)
-	p.Paths = make([]rib.PathImage, n)
-	for i := range p.Paths {
-		p.Paths[i].ID = rib.PathID(d.u32())
-		p.Paths[i].Path = d.u32sArena()
+func walkTable(c *codec, t *rib.TableImage) {
+	u32(c, &t.LocalAS)
+	for i := range list(c, &t.Routes, 12) {
+		u64(c, &t.Routes[i].Prefix)
+		u32(c, &t.Routes[i].Path)
 	}
 }
 
-func encodeTable(e *enc, t *rib.TableImage) {
-	e.u32(t.LocalAS)
-	e.u64(uint64(len(t.Routes)))
-	for _, r := range t.Routes {
-		e.u64(uint64(r.Prefix))
-		e.u32(uint32(r.Path))
-	}
-}
-
-func decodeTable(d *dec, t *rib.TableImage) {
-	t.LocalAS = d.u32()
-	n := d.count(12)
-	t.Routes = make([]rib.RouteImage, n)
-	for i := range t.Routes {
-		t.Routes[i].Prefix = d.prefix()
-		t.Routes[i].Path = rib.PathID(d.u32())
-	}
-}
-
-func encodePeer(e *enc, p *PeerImage) {
+func walkPeer(c *codec, p *PeerImage) {
 	st := &p.State
-	e.u32(p.Key.AS)
-	e.u32(p.Key.BGPID)
-	encodeTable(e, &st.Table)
-	e.u64(uint64(len(st.Alts)))
-	for i := range st.Alts {
-		e.u32(st.Alts[i].Neighbor)
-		encodeTable(e, &st.Alts[i].Table)
+	u32(c, &p.Key.AS)
+	u32(c, &p.Key.BGPID)
+	walkTable(c, &st.Table)
+	for i := range rows(c, &st.Alts, 16) {
+		u32(c, &st.Alts[i].Neighbor)
+		walkTable(c, &st.Alts[i].Table)
 	}
-	e.u64(uint64(len(st.History.Counts)))
-	for _, c := range st.History.Counts {
-		e.i64(int64(c.Value))
-		e.i64(int64(c.Count))
+	for i := range list(c, &st.History.Counts, 16) {
+		u64(c, &st.History.Counts[i].Value)
+		u64(c, &st.History.Counts[i].Count)
 	}
-	e.u8(uint8(st.Detector.State))
-	e.i64(int64(st.Detector.Started))
-	e.i64(int64(st.Detector.Count))
-	e.u64(uint64(len(st.Detector.Times)))
-	for _, t := range st.Detector.Times {
-		e.i64(int64(t))
+	u8(c, &st.Detector.State)
+	u64(c, &st.Detector.Started)
+	u64(c, &st.Detector.Count)
+	for i := range list(c, &st.Detector.Times, 8) {
+		u64(c, &st.Detector.Times[i])
 	}
-	e.bool(st.Plan != nil)
-	if st.Plan != nil {
-		e.i64(int64(st.Plan.LocalAS))
-		e.i64(int64(st.Plan.Depth))
-		e.u64(uint64(len(st.Plan.Backups)))
-		for _, b := range st.Plan.Backups {
-			e.u64(uint64(b.Prefix))
-			e.u32s(b.Row)
+	if opt(c, &st.Plan) {
+		pl := st.Plan
+		u64(c, &pl.LocalAS)
+		u64(c, &pl.Depth)
+		for i := range rows(c, &pl.Backups, 16) {
+			u64(c, &pl.Backups[i].Prefix)
+			u32s(c, &pl.Backups[i].Row)
 		}
-		e.u64(uint64(len(st.Plan.Assigned)))
-		for _, a := range st.Plan.Assigned {
-			e.u32(a.NH)
-			e.i64(int64(a.Count))
+		for i := range list(c, &pl.Assigned, 12) {
+			u32(c, &pl.Assigned[i].NH)
+			u64(c, &pl.Assigned[i].Count)
 		}
 	}
-	e.bool(st.Scheme != nil)
-	if st.Scheme != nil {
+	if opt(c, &st.Scheme) {
 		s := st.Scheme
-		e.i64(int64(s.Cfg.TagBits))
-		e.i64(int64(s.Cfg.PathBits))
-		e.i64(int64(s.Cfg.MaxDepth))
-		e.i64(int64(s.Cfg.MinPrefixes))
-		e.i64(int64(s.Cfg.NHBits))
-		e.u32(s.LocalAS)
-		e.u64(uint64(len(s.LinkDicts)))
-		for _, dict := range s.LinkDicts {
-			e.u64(uint64(len(dict)))
-			for _, lv := range dict {
-				e.link(lv.Link)
-				e.u64(lv.Value)
+		u64(c, &s.Cfg.TagBits)
+		u64(c, &s.Cfg.PathBits)
+		u64(c, &s.Cfg.MaxDepth)
+		u64(c, &s.Cfg.MinPrefixes)
+		u64(c, &s.Cfg.NHBits)
+		u32(c, &s.LocalAS)
+		for i := range rows(c, &s.LinkDicts, 8) {
+			for j := range list(c, &s.LinkDicts[i], 16) {
+				link(c, &s.LinkDicts[i][j].Link)
+				u64(c, &s.LinkDicts[i][j].Value)
 			}
 		}
-		e.u64(uint64(len(s.NHs)))
-		for _, nv := range s.NHs {
-			e.u32(nv.AS)
-			e.u64(nv.Value)
+		for i := range list(c, &s.NHs, 12) {
+			u32(c, &s.NHs[i].AS)
+			u64(c, &s.NHs[i].Value)
 		}
-		e.tags(s.Tags)
+		tags(c, &s.Tags)
 	}
-	e.tags(st.FIB.Tags)
-	e.u64(uint64(len(st.FIB.Rules)))
-	for _, r := range st.FIB.Rules {
-		e.u64(uint64(r.Value))
-		e.u64(uint64(r.Mask))
-		e.u32(r.NextHop)
-		e.i64(int64(r.Priority))
+	tags(c, &st.FIB.Tags)
+	for i := range list(c, &st.FIB.Rules, 28) {
+		r := &st.FIB.Rules[i]
+		u64(c, &r.Value)
+		u64(c, &r.Mask)
+		u32(c, &r.NextHop)
+		u64(c, &r.Priority)
 	}
-	e.i64(int64(st.FIB.Writes))
-	e.i64(int64(st.FIB.Elapsed))
-	e.u64(st.ProvisionSig)
-	e.bool(st.HaveProvision)
-	e.i64(int64(st.LastWithdrawal))
-	e.i64(int64(st.BurstStartAt))
-	e.bool(st.RerouteActive)
-	e.links(st.OwnLinks)
-	e.bool(st.ExtActive)
-	e.links(st.ExtLinks)
-	e.u64(st.ExtEpoch)
+	u64(c, &st.FIB.Writes)
+	u64(c, &st.FIB.Elapsed)
+	u64(c, &st.ProvisionSig)
+	c.bool(&st.HaveProvision)
+	u64(c, &st.LastWithdrawal)
+	u64(c, &st.BurstStartAt)
+	c.bool(&st.RerouteActive)
+	for i := range list(c, &st.OwnLinks, 8) {
+		link(c, &st.OwnLinks[i])
+	}
+	c.bool(&st.ExtActive)
+	for i := range list(c, &st.ExtLinks, 8) {
+		link(c, &st.ExtLinks[i])
+	}
+	u64(c, &st.ExtEpoch)
 }
 
-// peerSize is the exact payload length encodePeer writes for p, field
-// group by field group in encodePeer's order.
-func peerSize(p *PeerImage) int {
-	st := &p.State
-	table := func(t *rib.TableImage) int { return 4 + 8 + 12*len(t.Routes) }
-	n := 4 + 4 + table(&st.Table)
-	n += 8
-	for i := range st.Alts {
-		n += 4 + table(&st.Alts[i].Table)
-	}
-	n += 8 + 16*len(st.History.Counts)
-	n += 1 + 8 + 8 + 8 + 8*len(st.Detector.Times)
-	n++
-	if pl := st.Plan; pl != nil {
-		n += 8 + 8 + 8
-		for _, b := range pl.Backups {
-			n += 8 + 8 + 4*len(b.Row)
-		}
-		n += 8 + 12*len(pl.Assigned)
-	}
-	n++
-	if s := st.Scheme; s != nil {
-		n += 5*8 + 4 + 8
-		for _, dict := range s.LinkDicts {
-			n += 8 + 16*len(dict)
-		}
-		n += 8 + 12*len(s.NHs)
-		n += 8 + 16*len(s.Tags)
-	}
-	n += 8 + 16*len(st.FIB.Tags)
-	n += 8 + 28*len(st.FIB.Rules)
-	n += 8 + 8 + 8 + 1 + 8 + 8 + 1
-	n += 8 + 8*len(st.OwnLinks) + 1 + 8 + 8*len(st.ExtLinks) + 8
-	return n
+func link(c *codec, l *topology.Link) {
+	u32(c, &l.A)
+	u32(c, &l.B)
 }
 
-func decodePeer(d *dec, p *PeerImage) {
-	st := &p.State
-	p.Key.AS = d.u32()
-	p.Key.BGPID = d.u32()
-	decodeTable(d, &st.Table)
-	n := d.count(16)
-	st.Alts = make([]swift.AltState, n)
-	for i := range st.Alts {
-		st.Alts[i].Neighbor = d.u32()
-		decodeTable(d, &st.Alts[i].Table)
-	}
-	n = d.count(16)
-	if n > 0 {
-		st.History.Counts = make([]burst.HistoryCount, n)
-		for i := range st.History.Counts {
-			st.History.Counts[i].Value = int(d.i64())
-			st.History.Counts[i].Count = int(d.i64())
-		}
-	}
-	st.Detector.State = burst.State(d.u8())
-	st.Detector.Started = time.Duration(d.i64())
-	st.Detector.Count = int(d.i64())
-	n = d.count(8)
-	if n > 0 {
-		st.Detector.Times = make([]time.Duration, n)
-		for i := range st.Detector.Times {
-			st.Detector.Times[i] = time.Duration(d.i64())
-		}
-	}
-	if d.bool() {
-		pl := &reroute.PlanImage{
-			LocalAS: int(d.i64()),
-			Depth:   int(d.i64()),
-		}
-		n = d.count(16)
-		pl.Backups = make([]reroute.BackupRow, n)
-		for i := range pl.Backups {
-			pl.Backups[i].Prefix = d.prefix()
-			pl.Backups[i].Row = d.u32sArena()
-		}
-		n = d.count(12)
-		pl.Assigned = make([]reroute.NHCount, n)
-		for i := range pl.Assigned {
-			pl.Assigned[i].NH = d.u32()
-			pl.Assigned[i].Count = int(d.i64())
-		}
-		st.Plan = pl
-	}
-	if d.bool() {
-		s := &encoding.SchemeImage{}
-		s.Cfg.TagBits = int(d.i64())
-		s.Cfg.PathBits = int(d.i64())
-		s.Cfg.MaxDepth = int(d.i64())
-		s.Cfg.MinPrefixes = int(d.i64())
-		s.Cfg.NHBits = int(d.i64())
-		s.LocalAS = d.u32()
-		n = d.count(8)
-		s.LinkDicts = make([][]encoding.LinkValue, n)
-		for i := range s.LinkDicts {
-			m := d.count(16)
-			s.LinkDicts[i] = make([]encoding.LinkValue, m)
-			for j := range s.LinkDicts[i] {
-				s.LinkDicts[i][j].Link = d.link()
-				s.LinkDicts[i][j].Value = d.u64()
-			}
-		}
-		n = d.count(12)
-		s.NHs = make([]encoding.NHValue, n)
-		for i := range s.NHs {
-			s.NHs[i].AS = d.u32()
-			s.NHs[i].Value = d.u64()
-		}
-		s.Tags = d.tags()
-		st.Scheme = s
-	}
-	st.FIB.Tags = d.tags()
-	n = d.count(28)
-	if n > 0 {
-		st.FIB.Rules = make([]encoding.Rule, n)
-		for i := range st.FIB.Rules {
-			st.FIB.Rules[i].Value = encoding.Tag(d.u64())
-			st.FIB.Rules[i].Mask = encoding.Tag(d.u64())
-			st.FIB.Rules[i].NextHop = d.u32()
-			st.FIB.Rules[i].Priority = int(d.i64())
-		}
-	}
-	st.FIB.Writes = int(d.i64())
-	st.FIB.Elapsed = time.Duration(d.i64())
-	st.ProvisionSig = d.u64()
-	st.HaveProvision = d.bool()
-	st.LastWithdrawal = time.Duration(d.i64())
-	st.BurstStartAt = time.Duration(d.i64())
-	st.RerouteActive = d.bool()
-	st.OwnLinks = d.links()
-	st.ExtActive = d.bool()
-	st.ExtLinks = d.links()
-	st.ExtEpoch = d.u64()
-}
-
-// --- primitives --------------------------------------------------------
-
-// enc accumulates little-endian fixed-width fields.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *enc) u64(v uint64) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func (e *enc) i64(v int64) { e.u64(uint64(v)) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) link(l topology.Link) {
-	e.u32(l.A)
-	e.u32(l.B)
-}
-func (e *enc) links(ls []topology.Link) {
-	e.u64(uint64(len(ls)))
-	for _, l := range ls {
-		e.link(l)
-	}
-}
-func (e *enc) tags(ts []encoding.TagAssignment) {
-	e.u64(uint64(len(ts)))
-	for _, t := range ts {
-		e.u64(uint64(t.Prefix))
-		e.u64(uint64(t.Tag))
-	}
-}
-func (e *enc) u32s(v []uint32) {
-	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u32(x)
+// tags walks a stage-1 assignment; the scheme's and the FIB's are the
+// same sorted (prefix, tag) slice.
+func tags(c *codec, ts *[]encoding.TagAssignment) {
+	for i := range list(c, ts, 16) {
+		u64(c, &(*ts)[i].Prefix)
+		u64(c, &(*ts)[i].Tag)
 	}
 }
 
-// dec reads little-endian fixed-width fields, latching the first error.
-type dec struct {
-	b   []byte
-	off int
-	err error
-	// arena backs u32sArena: the short per-row slices a big section
-	// decodes (plan backup rows, pooled paths) are carved out of shared
-	// chunks instead of being allocated one by one.
+// --- the codec ----------------------------------------------------------
+
+type mode uint8
+
+const (
+	modeSize mode = iota
+	modeEncode
+	modeDecode
+)
+
+// codec runs a walk in one of three modes, with n the bytes walked so
+// far. Sizing has no buffer and only counts; encoding fills b, sized by
+// a size pass first; decoding reads b. A decode that runs short, or that
+// fails a check, leaves n past the end of b, so every later field reads
+// nothing and the first failure is the one reported.
+type codec struct {
+	mode mode
+	b    []byte
+	n    int
+	err  error
+	// arena backs decoded u32s rows: the short per-row slices a big
+	// section decodes (plan backup rows, pooled paths) are carved out of
+	// shared chunks instead of being allocated one by one.
 	arena []uint32
 }
 
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: "+format, args...)
+// next advances over the next k bytes and returns them for the decoder
+// to read — or nil when sizing, or once the walk has run past the end
+// of b.
+func (c *codec) next(k int) []byte {
+	n := c.n
+	c.n += k
+	if c.n > len(c.b) {
+		return nil
+	}
+	return c.b[n:c.n]
+}
+
+// fail ends a decode with an error, unless it has already ended.
+func (c *codec) fail(format string, args ...any) {
+	if c.n <= len(c.b) {
+		c.err = corrupt(format, args...)
+		c.n = len(c.b) + 1
 	}
 }
 
-func (d *dec) need(n int) bool {
-	if d.err != nil {
-		return false
+// failure reports why a decode ended early, nil if it reached the end
+// of its fields. A payload with bytes after them fails too.
+func (c *codec) failure() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.n > len(c.b):
+		return corrupt("payload of %d bytes is truncated", len(c.b))
+	case c.n < len(c.b):
+		return corrupt("%d trailing bytes", len(c.b)-c.n)
 	}
-	if len(d.b)-d.off < n {
-		d.fail("truncated payload at offset %d (need %d bytes)", d.off, n)
-		return false
-	}
-	return true
+	return nil
 }
 
-func (d *dec) u8() uint8 {
-	if !d.need(1) {
+// The primitives write in place when encoding: the size pass made b
+// exactly long enough, so an index past it is a bug in a walk. Sizing
+// and decoding go through next.
+
+func u8[T ~int](c *codec, v *T) {
+	if c.mode == modeEncode {
+		c.b[c.n] = uint8(*v)
+		c.n++
+	} else if b := c.next(1); b != nil {
+		*v = T(b[0])
+	}
+}
+
+func u32[T ~uint32](c *codec, v *T) {
+	if c.mode == modeEncode {
+		binary.LittleEndian.PutUint32(c.b[c.n:c.n+4], uint32(*v))
+		c.n += 4
+	} else if b := c.next(4); b != nil {
+		*v = T(binary.LittleEndian.Uint32(b))
+	}
+}
+
+func u64[T ~uint64 | ~int64 | ~int](c *codec, v *T) {
+	if c.mode == modeEncode {
+		binary.LittleEndian.PutUint64(c.b[c.n:c.n+8], uint64(*v))
+		c.n += 8
+	} else if b := c.next(8); b != nil {
+		*v = T(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// bool is one byte that decodes only from 0 or 1.
+func (c *codec) bool(v *bool) {
+	x := 0
+	if *v {
+		x = 1
+	}
+	u8(c, &x)
+	if c.mode == modeDecode {
+		if x > 1 {
+			c.fail("bad boolean at offset %d", c.n-1)
+		}
+		*v = x == 1
+	}
+}
+
+// count walks an array's u64 element count. Decoding bounds it by the
+// bytes left, at least least bytes an element, so a corrupt count
+// cannot drive a giant allocation.
+func (c *codec) count(n, least int) int {
+	v := uint64(n)
+	u64(c, &v)
+	if c.mode == modeDecode && c.n <= len(c.b) && v > uint64(len(c.b)-c.n)/uint64(least) {
+		c.fail("count %d at offset %d exceeds remaining payload", v, c.n-8)
 		return 0
 	}
-	v := d.b[d.off]
-	d.off++
-	return v
+	return int(v)
 }
 
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := leU32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := leU64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-func (d *dec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("bad boolean at offset %d", d.off-1)
-		return false
-	}
-}
-
-func (d *dec) prefix() netaddr.Prefix { return netaddr.Prefix(d.u64()) }
-
-func (d *dec) link() topology.Link {
-	a := d.u32()
-	b := d.u32()
-	return topology.Link{A: a, B: b}
-}
-
-func (d *dec) links() []topology.Link {
-	n := d.count(8)
-	if n == 0 {
+// list walks the count of an array of width-byte elements and returns
+// the elements the walk must still visit: none when sizing, which
+// counts them whole, and all of them otherwise.
+func list[T any](c *codec, s *[]T, width int) []T {
+	if c.mode == modeSize {
+		c.n += 8 + width*len(*s)
 		return nil
 	}
-	ls := make([]topology.Link, n)
-	for i := range ls {
-		ls[i] = d.link()
-	}
-	return ls
+	return rows(c, s, width)
 }
 
-// tags decodes a stage-1 assignment — the scheme's and the FIB's are
-// the same sorted (prefix, tag) slice.
-func (d *dec) tags() []encoding.TagAssignment {
-	n := d.count(16)
-	if n == 0 {
-		return nil
+// rows walks the count of an array whose elements take at least least
+// bytes each, and returns the elements to visit: all of them, in every
+// mode. Decoding first makes *s that long, nil if 0.
+func rows[T any](c *codec, s *[]T, least int) []T {
+	n := c.count(len(*s), least)
+	if c.mode == modeDecode {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
 	}
-	ts := make([]encoding.TagAssignment, n)
-	for i := range ts {
-		ts[i].Prefix = d.prefix()
-		ts[i].Tag = encoding.Tag(d.u64())
-	}
-	return ts
+	return *s
 }
 
-func (d *dec) u32s() []uint32 {
-	n := d.count(4)
-	if n == 0 {
-		return nil
+// opt walks the presence boolean of an optional part and reports
+// whether the part follows; decoding allocates it.
+func opt[T any](c *codec, p **T) bool {
+	present := *p != nil
+	c.bool(&present)
+	if present && c.mode == modeDecode {
+		*p = new(T)
 	}
-	v := make([]uint32, n)
-	for i := range v {
-		v[i] = d.u32()
-	}
-	return v
+	return present
 }
 
-// u32sArena is u32s carved out of the decoder's shared slab — for the
-// tiny slices that come in the hundreds of thousands. Returned slices
-// are capacity-capped so an append by the consumer cannot clobber a
-// neighbor.
-func (d *dec) u32sArena() []uint32 {
-	n := d.count(4)
-	if n == 0 {
-		return nil
+// u32s walks a counted []uint32 row. Sizing counts it inline, as the
+// size pass visits every plan row.
+func u32s(c *codec, v *[]uint32) {
+	if c.mode == modeSize {
+		c.n += 8 + 4*len(*v)
+	} else {
+		c.row(v)
 	}
-	if cap(d.arena)-len(d.arena) < n {
+}
+
+// row is u32s encoding or decoding. Decoded rows are carved from the
+// codec's arena and capacity-capped, so an append by the consumer
+// cannot clobber a neighbor.
+func (c *codec) row(v *[]uint32) {
+	if c.mode == modeEncode {
+		b := c.b[c.n : c.n+8+4*len(*v)]
+		binary.LittleEndian.PutUint64(b, uint64(len(*v)))
+		for i, x := range *v {
+			binary.LittleEndian.PutUint32(b[8+4*i:], x)
+		}
+		c.n += len(b)
+		return
+	}
+	n := c.count(len(*v), 4)
+	*v = nil
+	b := c.next(4 * n)
+	if b == nil || n == 0 {
+		return
+	}
+	if cap(c.arena)-len(c.arena) < n {
 		// A chunk never outgrows what the rest of the payload can hold,
 		// so a small section does not pay for a full one.
-		d.arena = make([]uint32, 0, max(n, min(1<<16, (len(d.b)-d.off)/4)))
+		c.arena = make([]uint32, 0, max(n, min(1<<16, (len(c.b)-c.n)/4+n)))
 	}
-	start := len(d.arena)
-	for i := 0; i < n; i++ {
-		d.arena = append(d.arena, d.u32())
+	k := len(c.arena)
+	c.arena = c.arena[:k+n]
+	for i := range n {
+		c.arena[k+i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	return d.arena[start:len(d.arena):len(d.arena)]
-}
-
-// count reads an element count and bounds it by the bytes remaining
-// (each element takes at least elemSize bytes), so a corrupt length
-// cannot drive a giant allocation.
-func (d *dec) count(elemSize int) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if max := uint64(len(d.b)-d.off) / uint64(elemSize); n > max {
-		d.fail("count %d at offset %d exceeds remaining payload", n, d.off-8)
-		return 0
-	}
-	return int(n)
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(leU32(b)) | uint64(leU32(b[4:]))<<32
-}
-
-func putU64(b []byte, v uint64) {
-	for i := range 8 {
-		b[i] = byte(v >> (8 * i))
-	}
+	*v = c.arena[k : k+n : k+n]
 }
 
 type crcReader struct {

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -68,6 +70,10 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireRejectsCorruption: every single-byte flip and every
+// truncation is caught — by a structural check or, failing that, the
+// trailing CRC — and reported as ErrCorrupt, except a changed version
+// field, which is ErrVersion.
 func TestWireRejectsCorruption(t *testing.T) {
 	img := testImage(t)
 	var buf bytes.Buffer
@@ -76,53 +82,50 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	// Every single-byte flip must be caught — by a structural check or,
-	// failing that, the trailing CRC.
 	for _, off := range []int{0, 5, len(magic), len(magic) + 2, len(good) / 3, len(good) / 2, len(good) - 2} {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x20
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Errorf("flip at offset %d accepted", off)
+		want := ErrCorrupt
+		if off >= len(magic) && off < len(magic)+4 {
+			want = ErrVersion
+		}
+		if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, want) {
+			t.Errorf("flip at offset %d: error %v, want %v", off, err, want)
 		}
 	}
 	for _, cut := range []int{1, 4, len(good) / 2, len(good) - 1} {
-		if _, err := Read(bytes.NewReader(good[:cut])); err == nil {
-			t.Errorf("truncation to %d bytes accepted", cut)
+		if _, err := Read(bytes.NewReader(good[:cut])); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("truncation to %d bytes: error %v, want %v", cut, err, ErrCorrupt)
 		}
+	}
+	future := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(future[len(magic):], Version+1)
+	if _, err := Read(bytes.NewReader(future)); !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+		t.Errorf("version %d: error %v, want %v alone", Version+1, err, ErrVersion)
 	}
 }
 
-// section assembles magic+version plus raw (kind, payload) pairs with a
-// valid trailing checksum, for structural-error tests.
+// rawStream assembles magic+version plus raw (kind, payload) pairs with
+// a valid trailing checksum, for structural-error tests.
 func rawStream(sections ...[2]any) []byte {
-	var e enc
-	b := []byte(magic)
-	e.u32(Version)
-	b = append(b, e.b...)
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte(magic), Version)
 	for _, s := range sections {
 		kind, payload := s[0].(uint32), s[1].([]byte)
-		var h enc
-		h.u32(kind)
-		h.u64(uint64(len(payload)))
-		b = append(b, h.b...)
+		b = le.AppendUint32(b, kind)
+		b = le.AppendUint64(b, uint64(len(payload)))
 		b = append(b, payload...)
 	}
-	var h enc
-	h.u32(secEnd)
-	h.u64(4)
-	b = append(b, h.b...)
-	var tail enc
-	tail.u32(crc32.ChecksumIEEE(b))
-	return append(b, tail.b...)
+	b = le.AppendUint32(b, secEnd)
+	b = le.AppendUint64(b, 4)
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 func TestWireStructuralErrors(t *testing.T) {
 	emptyPool := func() []byte {
-		var e enc
-		e.u64(1) // one link: the reserved zero entry
-		e.link(topology.Link{})
-		e.u64(0) // no paths
-		return e.b
+		// One link, the reserved zero entry, and no paths.
+		_, b := encode(walkPool, &rib.PoolImage{Links: []topology.Link{{}}})
+		return b
 	}
 	cases := []struct {
 		name string
@@ -138,29 +141,35 @@ func TestWireStructuralErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		_, err := Read(bytes.NewReader(tc.in))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %v with substring %q", tc.name, err, ErrCorrupt, tc.want)
 		}
 	}
 }
 
-// TestSectionSizesExact pins poolSize and peerSize to what encodePool
-// and encodePeer write — on a real provisioned peer, on the synthetic
+// encode runs walk's size pass, then its encode pass, and returns the
+// size and the bytes the encode wrote.
+func encode[T any](walk func(*codec, *T), v *T) (int, []byte) {
+	size := codec{mode: modeSize}
+	walk(&size, v)
+	enc := codec{mode: modeEncode, b: make([]byte, size.n)}
+	walk(&enc, v)
+	return size.n, enc.b[:enc.n]
+}
+
+// TestSectionSizesExact pins the walks' size pass to the bytes their
+// encode pass writes — on a real provisioned peer, on the synthetic
 // peer that fills every optional field, on one with no plan or scheme
 // and on the empty image — so the writer's buffer is sized once per
-// section and never grows while encoding.
+// section and the encoder fills it exactly.
 func TestSectionSizesExact(t *testing.T) {
 	for k, img := range []*FleetImage{testImage(t), syntheticImage(), {Peers: []PeerImage{{}}}} {
-		var e enc
-		encodePool(&e, &img.Pool)
-		if got, want := poolSize(&img.Pool), len(e.b); got != want {
-			t.Errorf("image %d: poolSize %d, encodePool wrote %d", k, got, want)
+		if size, b := encode(walkPool, &img.Pool); size != len(b) {
+			t.Errorf("image %d: pool sized at %d, encoded to %d", k, size, len(b))
 		}
 		for i := range img.Peers {
-			var e enc
-			encodePeer(&e, &img.Peers[i])
-			if got, want := peerSize(&img.Peers[i]), len(e.b); got != want {
-				t.Errorf("image %d peer %d: peerSize %d, encodePeer wrote %d", k, i, got, want)
+			if size, b := encode(walkPeer, &img.Peers[i]); size != len(b) {
+				t.Errorf("image %d peer %d: sized at %d, encoded to %d", k, i, size, len(b))
 			}
 		}
 	}
